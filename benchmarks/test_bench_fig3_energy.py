@@ -8,7 +8,7 @@ out-of-order core (core + DRAM energy).
 from bench_common import FIGURE_BENCHMARKS, FIGURE_TRACE_UOPS
 from repro.analysis.report import format_energy_figure
 from repro.core import VARIANTS
-from repro.simulation.simulator import run_variant
+from repro.simulation.simulator import SimulationRequest, run_simulation
 from repro.workloads.spec_surrogates import build_surrogate
 
 
@@ -17,7 +17,7 @@ def test_bench_figure3_energy_savings(benchmark, figure_comparison):
 
     def run_energy_evaluation():
         trace = build_surrogate(FIGURE_BENCHMARKS[2], num_uops=FIGURE_TRACE_UOPS // 2)
-        return run_variant(trace, variant="pre").energy.total_nj
+        return run_simulation(trace, SimulationRequest(variant="pre")).energy.total_nj
 
     benchmark.pedantic(run_energy_evaluation, rounds=1, iterations=1)
 

@@ -13,7 +13,7 @@
 
 from bench_common import FIGURE_BENCHMARKS, FIGURE_TRACE_UOPS
 from repro.simulation.metrics import interval_length_histogram
-from repro.simulation.simulator import run_variant
+from repro.simulation.simulator import SimulationRequest, run_simulation
 from repro.uarch.config import CoreConfig
 from repro.workloads.spec_surrogates import build_surrogate
 
@@ -27,8 +27,8 @@ def test_bench_flush_refill_overhead(benchmark):
     trace = build_surrogate("bwaves", num_uops=4_000)
 
     def measure():
-        ra = run_variant(trace, variant="runahead")
-        pre = run_variant(trace, variant="pre")
+        ra = run_simulation(trace, SimulationRequest(variant="runahead"))
+        pre = run_simulation(trace, SimulationRequest(variant="pre"))
         return ra, pre
 
     ra, pre = benchmark.pedantic(measure, rounds=1, iterations=1)

@@ -9,7 +9,7 @@ invocations and prefetches, and energy.
 Run with:  python examples/quickstart.py
 """
 
-from repro import build_core, run_variant
+from repro import SimulationRequest, build_core, run_simulation
 from repro.workloads.generators import multi_slice_kernel
 
 
@@ -18,8 +18,8 @@ def main() -> None:
     print(f"workload: {trace.name}, {len(trace)} micro-ops, "
           f"{trace.stats().num_loads} loads, footprint {trace.stats().footprint_bytes // 1024} KB")
 
-    baseline = run_variant(trace, variant="ooo")
-    pre = run_variant(trace, variant="pre")
+    baseline = run_simulation(trace, SimulationRequest(variant="ooo"))
+    pre = run_simulation(trace, SimulationRequest(variant="pre"))
 
     speedup = (baseline.cycles / pre.cycles - 1.0) * 100.0
     energy_saving = (1.0 - pre.total_energy_nj / baseline.total_energy_nj) * 100.0

@@ -13,12 +13,14 @@ The package is organised as:
 
 Quickstart::
 
-    from repro import build_core, build_surrogate
+    from repro import SimulationRequest, build_surrogate, run_simulation
 
     trace = build_surrogate("milc", num_uops=5_000)
-    core = build_core(trace, variant="pre")
-    stats = core.run()
-    print(stats.ipc, stats.runahead_invocations)
+    result = run_simulation(trace, SimulationRequest(variant="pre"))
+    print(result.ipc, result.stats.runahead_invocations)
+
+``run_multicore([(trace, "pre"), (neighbour, "ooo")])`` runs several cores
+side by side on one shared L3, DRAM and bus.
 """
 
 from repro.core import (
@@ -31,7 +33,7 @@ from repro.core import (
     build_core,
 )
 from repro.energy import EnergyModel, EnergyReport
-from repro.memory import HierarchyConfig, MemoryHierarchy
+from repro.memory import HierarchyConfig
 from repro.registry import (
     PROBE_REGISTRY,
     VARIANT_REGISTRY,
@@ -49,14 +51,14 @@ from repro.simulation import (
     ComparisonResult,
     ExperimentEngine,
     SimPointRunResult,
+    SimulationRequest,
     SimulationResult,
-    Simulator,
     SweepResult,
     SweepSpec,
     run_comparison,
-    run_performance_comparison,
+    run_multicore,
     run_simpoints,
-    run_variant,
+    run_simulation,
 )
 from repro.uarch import CoreConfig, CoreStats, OoOCore
 from repro.uarch.probes import Probe
@@ -89,7 +91,6 @@ __all__ = [
     "EnergyModel",
     "EnergyReport",
     "HierarchyConfig",
-    "MemoryHierarchy",
     "PROBE_REGISTRY",
     "VARIANT_REGISTRY",
     "WORKLOAD_REGISTRY",
@@ -104,14 +105,14 @@ __all__ = [
     "ComparisonResult",
     "ExperimentEngine",
     "SimPointRunResult",
+    "SimulationRequest",
     "SimulationResult",
-    "Simulator",
     "SweepResult",
     "SweepSpec",
     "run_comparison",
-    "run_performance_comparison",
+    "run_multicore",
     "run_simpoints",
-    "run_variant",
+    "run_simulation",
     "CoreConfig",
     "CoreStats",
     "OoOCore",

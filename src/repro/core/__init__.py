@@ -30,7 +30,7 @@ from repro.core.pre import PreciseRunaheadController
 from repro.core.runahead import TraditionalRunaheadController
 from repro.core.runahead_buffer import DependencyChain, RunaheadBufferController
 from repro.core.sst import StallingSliceTable
-from repro.memory.hierarchy import HierarchyConfig, MemoryHierarchy
+from repro.memory.hierarchy import HierarchyConfig, PrivateHierarchy
 from repro.registry import VARIANT_REGISTRY, register_variant
 from repro.uarch.config import CoreConfig
 from repro.uarch.core import OoOCore
@@ -106,12 +106,12 @@ def build_core(
     trace: Trace,
     variant: str = "pre",
     config: Optional[CoreConfig] = None,
-    hierarchy: Optional[MemoryHierarchy] = None,
+    hierarchy: Optional[PrivateHierarchy] = None,
     hierarchy_config: Optional[HierarchyConfig] = None,
 ) -> OoOCore:
     """Build a simulated core running ``trace`` with the given runahead variant."""
     if hierarchy is None:
-        hierarchy = MemoryHierarchy(hierarchy_config)
+        hierarchy = PrivateHierarchy(hierarchy_config)
     controller = build_controller(variant)
     return OoOCore(trace, config=config, hierarchy=hierarchy, controller=controller)
 

@@ -15,7 +15,7 @@ from typing import Dict, Optional
 
 from repro.energy.cacti import SRAMModel
 from repro.energy.mcpat import EnergyBreakdown, EnergyParameters
-from repro.memory.hierarchy import MemoryHierarchy
+from repro.memory.hierarchy import PrivateHierarchy
 from repro.serde import JSONSerializable
 from repro.uarch.config import CoreConfig
 from repro.uarch.stats import CoreStats
@@ -64,7 +64,7 @@ class EnergyModel:
         self,
         variant: str,
         stats: CoreStats,
-        hierarchy: MemoryHierarchy,
+        hierarchy: PrivateHierarchy,
         config: CoreConfig,
         extra_sram: Optional[Dict[str, SRAMModel]] = None,
         extra_sram_accesses: Optional[Dict[str, int]] = None,

@@ -12,9 +12,10 @@ from repro.memory.dram import DRAMConfig, DRAMModel
 from repro.memory.hierarchy import (
     AccessResult,
     HierarchyConfig,
-    MemoryHierarchy,
     MemoryLevel,
+    PrivateHierarchy,
     RequestKind,
+    SharedUncore,
 )
 from repro.memory.mshr import MSHREntry, MSHRFile
 from repro.memory.prefetcher import NextLinePrefetcher, StridePrefetcher
@@ -27,9 +28,10 @@ __all__ = [
     "DRAMModel",
     "AccessResult",
     "HierarchyConfig",
-    "MemoryHierarchy",
     "MemoryLevel",
+    "PrivateHierarchy",
     "RequestKind",
+    "SharedUncore",
     "MSHREntry",
     "MSHRFile",
     "NextLinePrefetcher",

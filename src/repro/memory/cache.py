@@ -65,11 +65,6 @@ class CacheStats:
         """Fraction of accesses that hit."""
         return self.hits / self.accesses if self.accesses else 0.0
 
-    @property
-    def miss_rate(self) -> float:
-        """Fraction of accesses that miss."""
-        return self.misses / self.accesses if self.accesses else 0.0
-
 
 class SetAssociativeCache:
     """A set-associative, write-back, write-allocate cache with LRU replacement.

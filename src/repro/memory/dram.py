@@ -96,11 +96,6 @@ class DRAMStats:
         """Average posted-write (writeback) latency in core cycles."""
         return self.write_latency_cycles / self.writes if self.writes else 0.0
 
-    @property
-    def row_hit_rate(self) -> float:
-        """Fraction of requests that hit in an open row buffer."""
-        return self.row_hits / self.accesses if self.accesses else 0.0
-
 
 class DRAMModel:
     """Bank- and bus-aware DRAM latency model.

@@ -38,10 +38,9 @@ The hierarchy is composed of two halves joined by the
   per-core attribution counters answering *who* is using the shared
   resources.
 
-:class:`MemoryHierarchy` is the degenerate single-core composition — a
-private hierarchy wired to its own fresh one-core uncore — and runs the
-exact same code as an N-core private half, which is what keeps the
-single-core goldens bit-identical.
+A ``PrivateHierarchy()`` built without an uncore makes its own one-core
+uncore: the single-core composition, running exactly the code of an N-core
+private half.
 """
 
 from __future__ import annotations
@@ -669,17 +668,3 @@ class PrivateHierarchy:
             self._install(self.uncore.l3, addr, 0)
             self._install(self.l2, addr, 0)
             self._install(self.l1d, addr, 0, dirty=dirty)
-
-
-class MemoryHierarchy(PrivateHierarchy):
-    """Single-core composition: a private hierarchy with its own 1-core uncore.
-
-    This is the pre-split public entry point and runs exactly the code an
-    N-core :class:`PrivateHierarchy` runs — the degenerate uncore is what
-    keeps the committed single-core goldens bit-identical.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, config: Optional[HierarchyConfig] = None) -> None:
-        super().__init__(config=config)

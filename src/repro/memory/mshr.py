@@ -77,9 +77,6 @@ class MSHRFile:
         # per outstanding line (stale items re-queue when popped).
         self._expiry: List[Tuple[int, int]] = []
 
-    def _line(self, addr: int) -> int:
-        return addr // self.line_bytes
-
     def _expire(self, cycle: int) -> None:
         """Drop every entry whose fill completed by ``cycle``.
 

@@ -1,7 +1,7 @@
 """The narrow core <-> memory seam.
 
-``OoOCore`` used to construct and own a whole :class:`MemoryHierarchy` and
-call into it freely; the multi-core work split the hierarchy into a per-core
+``OoOCore`` used to construct and own a whole memory hierarchy and call
+into it freely; the multi-core work split the hierarchy into a per-core
 :class:`~repro.memory.hierarchy.PrivateHierarchy` front half and a
 :class:`~repro.memory.hierarchy.SharedUncore` back half.  The surface the
 core is allowed to touch is pinned down here:
@@ -30,9 +30,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class MemoryPort(Protocol):
     """What a core may ask of its memory system.
 
-    :class:`~repro.memory.hierarchy.PrivateHierarchy` (and therefore the
-    single-core :class:`~repro.memory.hierarchy.MemoryHierarchy`) implements
-    this protocol; the core holds the port and never reaches past it.
+    :class:`~repro.memory.hierarchy.PrivateHierarchy` implements this
+    protocol; the core holds the port and never reaches past it.
     """
 
     #: Identity stamped on every request, for per-core uncore attribution.

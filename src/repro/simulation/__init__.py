@@ -6,11 +6,9 @@ from repro.simulation.simulator import (
     SimPointRunResult,
     SimulationRequest,
     SimulationResult,
-    Simulator,
     UncoreReport,
     run_simpoints,
     run_simulation,
-    run_variant,
 )
 from repro.simulation.multicore import (
     CoreAssignment,
@@ -22,7 +20,6 @@ from repro.simulation.experiment import (
     BenchmarkResult,
     ComparisonResult,
     run_comparison,
-    run_performance_comparison,
 )
 from repro.simulation.engine import (
     EngineRunStats,
@@ -50,16 +47,13 @@ __all__ = [
     "SimPointRunResult",
     "SimulationRequest",
     "SimulationResult",
-    "Simulator",
     "UncoreReport",
     "run_multicore",
     "run_simpoints",
     "run_simulation",
-    "run_variant",
     "BenchmarkResult",
     "ComparisonResult",
     "run_comparison",
-    "run_performance_comparison",
     "EngineRunStats",
     "ExperimentEngine",
     "ResultCache",

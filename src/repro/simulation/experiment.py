@@ -203,23 +203,3 @@ def run_comparison(
         hierarchy_config=hierarchy_config,
     )
     return engine.run_traces(traces, variants=variants, max_cycles=max_cycles, probes=probes)
-
-
-def run_performance_comparison(
-    traces: Iterable[Trace],
-    config: Optional[CoreConfig] = None,
-    hierarchy_config: Optional[HierarchyConfig] = None,
-    max_cycles: Optional[int] = None,
-    workers: int = 1,
-    cache_dir: Optional[str] = None,
-) -> ComparisonResult:
-    """Shorthand for :func:`run_comparison` over all five variants."""
-    return run_comparison(
-        traces,
-        variants=VARIANTS,
-        config=config,
-        hierarchy_config=hierarchy_config,
-        max_cycles=max_cycles,
-        workers=workers,
-        cache_dir=cache_dir,
-    )

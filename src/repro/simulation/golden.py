@@ -10,7 +10,7 @@ module pins that property:
   interval, every stall snapshot contributes, so any timing drift (one extra
   cycle anywhere) changes the digest;
 * :func:`capture_goldens` runs a workload x variant matrix through
-  :func:`~repro.simulation.simulator.run_variant` and records each cell's
+  :func:`~repro.simulation.simulator.run_simulation` and records each cell's
   digest, IPC, and Figure-2 normalized IPC (speedup over the ``ooo``
   baseline);
 * :func:`compare_with_goldens` re-runs the same matrix on the current engine
@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.serde import canonical_json
-from repro.simulation.simulator import run_variant
+from repro.simulation.simulator import SimulationRequest, run_simulation
 from repro.uarch.stats import CoreStats
 
 #: Bump only when CoreStats gains/loses fields (which legitimately changes
@@ -82,7 +82,7 @@ def capture_goldens(
         trace = build_workload(workload, num_uops=num_uops)
         baseline_ipc: Optional[float] = None
         for variant in variants:
-            result = run_variant(trace, variant=variant)
+            result = run_simulation(trace, SimulationRequest(variant=variant))
             ipc = result.stats.ipc
             if variant == "ooo":
                 baseline_ipc = ipc
@@ -131,7 +131,7 @@ def compare_with_goldens(record: Dict[str, Any]) -> List[str]:
         baseline_ipc: Optional[float] = None
         for variant in record["variants"]:
             golden = record["cells"][cell_key(workload, variant)]
-            result = run_variant(trace, variant=variant)
+            result = run_simulation(trace, SimulationRequest(variant=variant))
             ipc = result.stats.ipc
             if variant == "ooo":
                 baseline_ipc = ipc

@@ -16,12 +16,9 @@ bandwidth — L3 lines evicted by the neighbour, DRAM requests queued behind the
 neighbour's — never about data sharing, which the trace format cannot express
 honestly.
 
-Lockstep equivalence: a core inside :class:`MultiCoreSimulator` executes the
-exact public stepping sequence of :meth:`~repro.uarch.core.OoOCore.run`
-(``begin_run`` / ``step_cycle`` / ``skip_to`` / ``finish_run``), and a
-one-core simulation shares its clock with nobody, so ``run_multicore`` with a
-single core is bit-identical to :func:`~repro.simulation.simulator.run_variant`
-— the committed goldens pin this down.
+One loop, one set-up path: :class:`MultiCoreSimulator` runs the loop a
+single-core run uses (:func:`~repro.uarch.core.run_lockstep`), and
+:func:`run_multicore` shares its set-up path with ``run_simulation``.
 
 :class:`CoreAssignment` and :class:`MultiCoreSpec` are the serialisable spec
 side, used by engine jobs, sweeps and studies to describe co-runner mixes.
@@ -32,31 +29,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core import build_controller
 from repro.energy.model import EnergyModel
-from repro.memory.hierarchy import HierarchyConfig, PrivateHierarchy, SharedUncore
-from repro.registry import VARIANT_REGISTRY
+from repro.memory.hierarchy import HierarchyConfig
 from repro.serde import JSONSerializable
 from repro.simulation.simulator import (
-    CoreResult,
+    DEFAULT_ADDRESS_STRIDE,
     ProbeLike,
     SimulationResult,
     TraceLike,
-    UncoreReport,
-    _runahead_sram_models,
-    resolve_probes,
+    _simulate,
 )
 from repro.uarch.config import CoreConfig
-from repro.uarch.core import OoOCore, SimulationDeadlock
-from repro.uarch.probes import default_probes
+from repro.uarch.core import OoOCore, run_lockstep
 from repro.uarch.stats import CoreStats
-from repro.workloads.source import as_source
-
-#: Default spacing between per-core address spaces: far larger than any
-#: workload footprint, so cores never alias the same lines (contention is
-#: capacity and bandwidth, not false sharing), yet small enough that XOR-fold
-#: bank hashing still spreads each core's pages over all DRAM banks.
-DEFAULT_ADDRESS_STRIDE = 1 << 30
 
 
 @dataclass
@@ -97,78 +82,20 @@ class MultiCoreSpec(JSONSerializable):
 class MultiCoreSimulator:
     """Steps N prepared cores in lockstep on one shared global clock.
 
-    The loop is the multi-core generalisation of
-    :meth:`~repro.uarch.core.OoOCore.run`: every active core performs one
-    :meth:`step_cycle` per global cycle, the clock advances one cycle whenever
-    *any* core made progress, and a globally idle cycle fast-forwards all
-    cores to the earliest wake-up event among them.  A core that commits its
-    whole trace is finalised (:meth:`finish_run`) and leaves the pool; the
-    survivors keep running — and keep the shared bank/bus state busy.
+    For cores the caller built and wired to one uncore: :meth:`run` is
+    :func:`~repro.uarch.core.run_lockstep`, the loop
+    :meth:`~repro.uarch.core.OoOCore.run` drives a single core with.
     """
 
     def __init__(
         self, cores: Sequence[OoOCore], max_cycles: Optional[int] = None
     ) -> None:
-        if not cores:
-            raise ValueError("MultiCoreSimulator needs at least one core")
         self.cores = list(cores)
         self.max_cycles = max_cycles
 
     def run(self) -> List[CoreStats]:
         """Run every core to completion; return their stats in core order."""
-        max_cycles = self.max_cycles
-        finished_stats = {}
-        active = list(self.cores)
-        for core in active:
-            core.begin_run()
-        while active:
-            # Finalise cores that committed everything (or ran out of budget)
-            # during the previous global cycle, then drop them from lockstep.
-            still_running = []
-            for core in active:
-                if core.finished or (
-                    max_cycles is not None and core.cycle >= max_cycles
-                ):
-                    finished_stats[id(core)] = core.finish_run()
-                else:
-                    still_running.append(core)
-            active = still_running
-            if not active:
-                break
-
-            # One cycle of work everywhere; shared-uncore accesses interleave
-            # in core order within the cycle (deterministic tie-break).
-            progress = [core.step_cycle() for core in active]
-
-            if any(progress):
-                # The global clock moves one cycle.  A core whose own step made
-                # progress always advances (a finishing step's cycle is part of
-                # its run, exactly as in the single-core loop); a stalled core
-                # advances too — in lockstep it cannot sleep while a neighbour
-                # works — unless it just finished, which mirrors the
-                # single-core loop finalising at the no-progress cycle.
-                for core, progressed in zip(active, progress):
-                    if progressed or not core.finished:
-                        core.cycle += 1
-                continue
-
-            # Globally idle cycle: every core is stalled (or just finished).
-            waiting = [core for core in active if not core.finished]
-            if not waiting:
-                continue
-            wakes = [core.next_wake_cycle() for core in waiting]
-            if all(wake is None for wake in wakes):
-                reports = "\n\n".join(
-                    f"[core {core.core_id}]\n{core.deadlock_report()}"
-                    for core in waiting
-                )
-                raise SimulationDeadlock(reports)
-            wake = min(wake for wake in wakes if wake is not None)
-            if max_cycles is not None:
-                wake = min(wake, max_cycles)
-            for core in waiting:
-                core.skip_to(wake)
-        return [finished_stats[id(core)] for core in self.cores]
+        return run_lockstep(self.cores, self.max_cycles)
 
 
 def run_multicore(
@@ -184,81 +111,20 @@ def run_multicore(
 
     Core 0 is the *focus* core: its stats and energy fill the result's
     top-level fields (so a one-core call is a drop-in for
-    :func:`~repro.simulation.simulator.run_variant`), and ``probes`` attach to
-    it alone.  Every core's stats land in :attr:`SimulationResult.cores`, and
-    the shared L3/DRAM/bus usage — attributed per core — in
-    :attr:`SimulationResult.uncore`.  Cores may run *different* variants
-    (e.g. core 0 PRE, core 1 plain OoO), which is the whole point: measure
-    what one core's runahead traffic costs the neighbour.
+    :func:`~repro.simulation.simulator.run_simulation`), and ``probes``
+    attach to it alone.  Every core's stats land in
+    :attr:`SimulationResult.cores`, and the shared L3/DRAM/bus usage —
+    attributed per core — in :attr:`SimulationResult.uncore`.  Cores may run
+    *different* variants (e.g. core 0 PRE, core 1 plain OoO), which is the
+    whole point: measure what one core's runahead traffic costs the
+    neighbour.
     """
-    if not cores:
-        raise ValueError("run_multicore needs at least one (trace, variant) pair")
-    for _, variant in cores:
-        if variant not in VARIANT_REGISTRY:
-            raise ValueError(
-                f"unknown variant {variant!r}; expected one of "
-                f"{', '.join(VARIANT_REGISTRY.names())}"
-            )
-    if address_stride <= 0:
-        raise ValueError(f"address_stride must be positive, got {address_stride}")
-    config = config or CoreConfig()
-    hierarchy_config = hierarchy_config or HierarchyConfig()
-    uncore = SharedUncore(config=hierarchy_config, num_cores=len(cores))
-    built = []
-    for core_id, (trace, variant) in enumerate(cores):
-        source = as_source(trace)
-        hierarchy = PrivateHierarchy(
-            config=hierarchy_config,
-            uncore=uncore,
-            core_id=core_id,
-            addr_offset=core_id * address_stride,
-        )
-        attached = resolve_probes(probes) if core_id == 0 else []
-        core = OoOCore(
-            source,
-            config=config,
-            hierarchy=hierarchy,
-            controller=build_controller(variant),
-            probes=default_probes() + attached,
-        )
-        built.append((core, source, variant))
-
-    simulator = MultiCoreSimulator(
-        [core for core, _, _ in built], max_cycles=max_cycles
-    )
-    all_stats = simulator.run()
-
-    focus_core, focus_source, focus_variant = built[0]
-    model = energy_model or EnergyModel()
-    report = model.evaluate(
-        variant=focus_variant,
-        stats=all_stats[0],
-        hierarchy=focus_core.hierarchy,
+    return _simulate(
+        cores,
         config=config,
-        extra_sram=_runahead_sram_models(focus_core),
-    )
-    return SimulationResult(
-        variant=focus_variant,
-        trace_name=focus_source.name,
-        stats=all_stats[0],
-        energy=report,
-        config=config,
-        probe_reports=focus_core.probes.reports(),
-        cores=[
-            CoreResult(
-                core_id=core_id,
-                variant=variant,
-                trace_name=source.name,
-                stats=all_stats[core_id],
-            )
-            for core_id, (core, source, variant) in enumerate(built)
-        ],
-        uncore=UncoreReport(
-            l3_hits=list(uncore.l3_hits),
-            l3_misses=list(uncore.l3_misses),
-            dram_reads=list(uncore.dram_reads),
-            dram_writes=list(uncore.dram_writes),
-            dram_queue_delay_cycles=list(uncore.dram_queue_delay_cycles),
-            bus_busy_cycles=list(uncore.bus_busy_cycles),
-        ),
+        hierarchy_config=hierarchy_config,
+        energy_model=energy_model,
+        max_cycles=max_cycles,
+        probes=probes or (),
+        address_stride=address_stride,
     )

@@ -38,7 +38,7 @@ from repro.simulation.golden import (
     DEFAULT_GOLDEN_WORKLOADS,
     stats_digest,
 )
-from repro.simulation.simulator import run_variant
+from repro.simulation.simulator import SimulationRequest, run_simulation
 
 #: Report schema; bump on incompatible field changes.
 BENCH_SCHEMA_VERSION = 1
@@ -144,7 +144,7 @@ def run_bench(
             result = None
             for _ in range(repeats):
                 start = time.perf_counter()
-                result = run_variant(trace, variant=variant)
+                result = run_simulation(trace, SimulationRequest(variant=variant))
                 elapsed = time.perf_counter() - start
                 if best is None or elapsed < best:
                     best = elapsed

@@ -19,8 +19,9 @@ honest:
   the shard's statistics;
 * **exactness by construction** for the degenerate plan: one shard with zero
   warmup covers the whole trace, bypasses stitching entirely, and is
-  bit-identical to an ordinary :func:`~repro.simulation.simulator.run_variant`
-  call (it even shares the same result-cache key).
+  bit-identical to an ordinary
+  :func:`~repro.simulation.simulator.run_simulation` call (it even shares
+  the same result-cache key).
 """
 
 from __future__ import annotations
@@ -249,7 +250,7 @@ def run_sharded(
     ]
     if plan.exact:
         # The single whole-trace window *is* the run; no weighting, no
-        # rounding — bit-identical to run_variant on the same source.
+        # rounding — bit-identical to run_simulation on the same source.
         stitched = shard_results[0].result.stats
     else:
         stitched = _weighted_core_stats(

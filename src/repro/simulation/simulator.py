@@ -1,9 +1,9 @@
-"""Single-run simulation driver.
+"""Simulation entry points: one core, or N cores sharing an uncore.
 
-``run_variant`` (or the :class:`Simulator` convenience wrapper) builds a fresh
-memory hierarchy and core for one (trace, variant) pair, runs it to
-completion, evaluates the energy model, and returns everything an experiment
-needs in a :class:`SimulationResult`.
+:func:`run_simulation` runs one (trace, variant) pair as a
+:class:`SimulationRequest` describes; ``run_multicore`` runs several side by
+side.  Both share one set-up path: fresh hierarchies and cores, the
+lockstep loop, energy, and a :class:`SimulationResult`.
 
 Workloads are accepted either as an in-memory
 :class:`~repro.workloads.trace.Trace` (the original, backward-compatible
@@ -24,16 +24,15 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core import VARIANT_LABELS, VARIANTS, build_controller
+from repro.core import VARIANT_LABELS, build_controller
 from repro.core.pre import PreciseRunaheadController
 from repro.core.runahead_buffer import RunaheadBufferController
 from repro.energy.cacti import SRAMModel
 from repro.energy.model import EnergyModel, EnergyReport
-from repro.memory.hierarchy import HierarchyConfig, MemoryHierarchy
-from repro.registry import VARIANT_REGISTRY
+from repro.memory.hierarchy import HierarchyConfig, PrivateHierarchy, SharedUncore
 from repro.serde import JSONSerializable
 from repro.uarch.config import CoreConfig
-from repro.uarch.core import OoOCore
+from repro.uarch.core import OoOCore, run_lockstep
 from repro.uarch.probes import Probe, build_probe, default_probes
 from repro.uarch.stats import CoreStats
 from repro.workloads.simpoint import SimPointSampler
@@ -45,6 +44,12 @@ TraceLike = Union[Trace, TraceSource]
 
 #: Accepted probe argument: registry names or ready-made instances.
 ProbeLike = Union[str, Probe]
+
+#: Default spacing between per-core address spaces: far larger than any
+#: workload footprint, so cores never alias the same lines (contention is
+#: capacity and bandwidth, not false sharing), yet small enough that XOR-fold
+#: bank hashing still spreads each core's pages over all DRAM banks.
+DEFAULT_ADDRESS_STRIDE = 1 << 30
 
 
 @dataclass
@@ -170,9 +175,92 @@ def _runahead_sram_models(core: OoOCore) -> Dict[str, SRAMModel]:
     return models
 
 
-def resolve_probes(probes: Optional[Sequence[ProbeLike]]) -> List[Probe]:
-    """Materialise a probe argument list (registry names become fresh instances)."""
-    return [build_probe(probe) for probe in (probes or ())]
+def _simulate(
+    pairs: Sequence[Tuple[TraceLike, str]],
+    config: Optional[CoreConfig] = None,
+    hierarchy_config: Optional[HierarchyConfig] = None,
+    energy_model: Optional[EnergyModel] = None,
+    max_cycles: Optional[int] = None,
+    probes: Sequence[ProbeLike] = (),
+    address_stride: int = DEFAULT_ADDRESS_STRIDE,
+    warmup_uops: int = 0,
+) -> SimulationResult:
+    """The one set-up path behind :func:`run_simulation` and ``run_multicore``.
+
+    Core ``i`` runs pair ``i`` on its own private hierarchy, addresses offset
+    by ``i * address_stride``, over one shared uncore; ``probes`` attach to
+    core 0, whose stats and energy fill the result's top-level fields.
+    """
+    if not pairs:
+        raise ValueError("need at least one (trace, variant) pair")
+    # Raises for an unknown variant before anything else is built.
+    controllers = [build_controller(variant) for _, variant in pairs]
+    if address_stride <= 0:
+        raise ValueError(f"address_stride must be positive, got {address_stride}")
+    if warmup_uops < 0:
+        raise ValueError(f"warmup_uops must be >= 0, got {warmup_uops}")
+    sources = [as_source(trace) for trace, _ in pairs]
+    for source in sources:
+        if source.length is not None and warmup_uops > source.length:
+            raise ValueError(
+                f"warmup_uops ({warmup_uops}) exceeds the {source.length} "
+                f"micro-ops of {source.name!r}"
+            )
+    config = config or CoreConfig()
+    hierarchy_config = hierarchy_config or HierarchyConfig()
+    uncore = SharedUncore(config=hierarchy_config, num_cores=len(pairs))
+    cores = []
+    for core_id, (source, controller) in enumerate(zip(sources, controllers)):
+        hierarchy = PrivateHierarchy(
+            config=hierarchy_config,
+            uncore=uncore,
+            core_id=core_id,
+            addr_offset=core_id * address_stride,
+        )
+        # Registry names become fresh instances, attached to core 0 alone.
+        attached = [build_probe(probe) for probe in probes] if core_id == 0 else []
+        cores.append(
+            OoOCore(
+                source,
+                config=config,
+                hierarchy=hierarchy,
+                controller=controller,
+                probes=default_probes() + attached,
+            )
+        )
+    all_stats = run_lockstep(cores, max_cycles, warmup_uops)
+
+    focus, variant = cores[0], pairs[0][1]
+    report = (energy_model or EnergyModel()).evaluate(
+        variant=variant,
+        stats=all_stats[0],
+        hierarchy=focus.hierarchy,
+        config=config,
+        extra_sram=_runahead_sram_models(focus),
+    )
+    return SimulationResult(
+        variant=variant,
+        trace_name=sources[0].name,
+        stats=all_stats[0],
+        energy=report,
+        config=config,
+        # Default probes report None, so this is exactly the attached findings.
+        probe_reports=focus.probes.reports(),
+        cores=[
+            CoreResult(core_id, core_variant, source.name, stats)
+            for core_id, (source, (_, core_variant), stats) in enumerate(
+                zip(sources, pairs, all_stats)
+            )
+        ],
+        uncore=UncoreReport(
+            l3_hits=list(uncore.l3_hits),
+            l3_misses=list(uncore.l3_misses),
+            dram_reads=list(uncore.dram_reads),
+            dram_writes=list(uncore.dram_writes),
+            dram_queue_delay_cycles=list(uncore.dram_queue_delay_cycles),
+            bus_busy_cycles=list(uncore.bus_busy_cycles),
+        ),
+    )
 
 
 def run_simulation(
@@ -188,128 +276,28 @@ def run_simulation(
     micro-ops from the returned statistics (microarchitectural state is kept —
     that is the point): shard runs use it so stats describe only the measured
     window while caches, predictors and queues enter it warm.  ``0`` (the
-    default) is the exact, bit-identical whole-run path.
+    default) is the exact, bit-identical whole-run path.  A warmup longer than
+    a known-length source is rejected.
 
     ``energy_model`` and ``extra_probes`` sit outside the request because they
     carry live objects that cannot (and should not) serialise: a custom model
     and ready-made probe instances are an in-process affair.
     """
     request = request or SimulationRequest()
-    if request.variant not in VARIANT_REGISTRY:
-        raise ValueError(
-            f"unknown variant {request.variant!r}; expected one of "
-            f"{', '.join(VARIANT_REGISTRY.names())}"
-        )
-    if request.warmup_uops < 0:
-        raise ValueError(f"warmup_uops must be >= 0, got {request.warmup_uops}")
-    source = as_source(trace)
-    config = request.config or CoreConfig()
-    hierarchy = MemoryHierarchy(request.hierarchy_config)
-    controller = build_controller(request.variant)
-    attached = resolve_probes(request.probes) + resolve_probes(extra_probes)
-    core = OoOCore(
-        source,
-        config=config,
-        hierarchy=hierarchy,
-        controller=controller,
-        probes=default_probes() + attached,
-    )
-    stats = core.run(
-        max_cycles=request.max_cycles,
-        stats_start_uop=request.warmup_uops or None,
-    )
-    model = energy_model or EnergyModel()
-    report = model.evaluate(
-        variant=request.variant,
-        stats=stats,
-        hierarchy=hierarchy,
-        config=config,
-        extra_sram=_runahead_sram_models(core),
-    )
-    return SimulationResult(
-        variant=request.variant,
-        trace_name=source.name,
-        stats=stats,
-        energy=report,
-        config=config,
-        # Default probes report None, so this is exactly the extras' findings.
-        probe_reports=core.probes.reports(),
-    )
-
-
-def run_variant(
-    trace: TraceLike,
-    variant: str = "pre",
-    config: Optional[CoreConfig] = None,
-    hierarchy_config: Optional[HierarchyConfig] = None,
-    energy_model: Optional[EnergyModel] = None,
-    max_cycles: Optional[int] = None,
-    probes: Optional[Sequence[ProbeLike]] = None,
-    warmup_uops: int = 0,
-) -> SimulationResult:
-    """Simulate a trace or source on one runahead variant and return its results.
-
-    Deprecated keyword-argument spelling of :func:`run_simulation`: the run
-    parameters now live in a :class:`SimulationRequest`, and this shim simply
-    builds one.  Kept (indefinitely) because half the test suite and every
-    notebook calls it; new call sites should construct a request.
-    """
-    request = SimulationRequest(
-        variant=variant,
-        config=config,
-        hierarchy_config=hierarchy_config,
-        max_cycles=max_cycles,
-        warmup_uops=warmup_uops,
-    )
-    # All probes ride through ``extra_probes`` (names resolve identically
-    # there, and mixed name/instance lists keep their relative order).
-    return run_simulation(
-        trace,
-        request,
+    result = _simulate(
+        [(trace, request.variant)],
+        config=request.config,
+        hierarchy_config=request.hierarchy_config,
         energy_model=energy_model,
-        extra_probes=list(probes or ()),
+        max_cycles=request.max_cycles,
+        probes=[*request.probes, *extra_probes],
+        warmup_uops=request.warmup_uops,
     )
-
-
-class Simulator:
-    """Convenience wrapper that reuses one configuration across many runs."""
-
-    def __init__(
-        self,
-        config: Optional[CoreConfig] = None,
-        hierarchy_config: Optional[HierarchyConfig] = None,
-        energy_model: Optional[EnergyModel] = None,
-    ) -> None:
-        self.config = config or CoreConfig()
-        self.hierarchy_config = hierarchy_config
-        self.energy_model = energy_model or EnergyModel()
-
-    def run(
-        self,
-        trace: TraceLike,
-        variant: str = "pre",
-        max_cycles: Optional[int] = None,
-        probes: Optional[Sequence[ProbeLike]] = None,
-    ) -> SimulationResult:
-        """Simulate one trace (or source) on one variant."""
-        return run_variant(
-            trace,
-            variant=variant,
-            config=self.config,
-            hierarchy_config=self.hierarchy_config,
-            energy_model=self.energy_model,
-            max_cycles=max_cycles,
-            probes=probes,
-        )
-
-    def run_all_variants(
-        self, trace: TraceLike, variants=VARIANTS, max_cycles: Optional[int] = None
-    ) -> Dict[str, SimulationResult]:
-        """Simulate one trace (or source) on every requested variant."""
-        return {
-            variant: self.run(trace, variant=variant, max_cycles=max_cycles)
-            for variant in variants
-        }
+    # A single-core result carries no per-core sections: its JSON, cache
+    # entries and digests are those of a run with no neighbours.
+    result.cores = []
+    result.uncore = None
+    return result
 
 
 # ---------------------------------------------------------- SimPoint execution

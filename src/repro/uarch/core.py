@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-from typing import TYPE_CHECKING, Iterable, List, Optional, Set, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.memory.hierarchy import MemoryHierarchy
+from repro.memory.hierarchy import PrivateHierarchy
 from repro.uarch.branch import GShareBranchPredictor
 from repro.uarch.config import CoreConfig
 from repro.uarch.frontend import FetchedUop, FrontEnd
@@ -156,7 +156,7 @@ class OoOCore:
         self,
         trace: Union[Trace, TraceSource],
         config: Optional[CoreConfig] = None,
-        hierarchy: Optional[MemoryHierarchy] = None,
+        hierarchy: Optional[PrivateHierarchy] = None,
         controller: Optional["RunaheadController"] = None,
         name: Optional[str] = None,
         probes: Optional[Iterable[Probe]] = None,
@@ -178,7 +178,7 @@ class OoOCore:
         self.trace: Optional[Trace] = (
             source.trace if isinstance(source, MaterializedTrace) else None
         )
-        self.hierarchy = hierarchy or MemoryHierarchy()
+        self.hierarchy = hierarchy or PrivateHierarchy()
         #: This core's identity on the shared uncore, mirrored from its
         #: memory port; probes receive the core object and can read it to
         #: attribute fills/writebacks/memory accesses in multi-core runs.
@@ -220,8 +220,7 @@ class OoOCore:
         #: Cycle at which statistics collection began (nonzero only when a
         #: warmup prefix was excluded via ``run(stats_start_uop=...)``).
         self._stats_cycle_base = 0
-        # Stepping bookkeeping shared between run() and external lockstep
-        # drivers (see begin_run/step_cycle).
+        # Stepping bookkeeping armed by begin_run, advanced by step_cycle.
         self._warmup_target = 0
         self._last_committed = 0
 
@@ -282,44 +281,16 @@ class OoOCore:
         never leaks into the returned stats.  Microarchitectural state is
         *not* reset — that is the entire point of the warmup.
 
-        The loop body is exactly the public stepping API an external
-        lockstep driver uses (:meth:`begin_run`, :meth:`step_cycle`,
-        :meth:`next_wake_cycle`, :meth:`skip_to`, :meth:`finish_run`) — a
-        single-core run and a core inside a
-        :class:`~repro.simulation.multicore.MultiCoreSimulator` execute the
-        same sequence of operations.
+        The run is :func:`run_lockstep` over this one core.
         """
-        self.begin_run(stats_start_uop)
-        cursor = self.frontend.cursor
-        step_cycle = self.step_cycle
-        while True:
-            total = cursor.known_length
-            if total is not None and self.committed_trace_uops >= total:
-                break
-            if max_cycles is not None and self.cycle >= max_cycles:
-                break
-            if step_cycle():
-                self.cycle += 1
-                continue
-            if self.finished:
-                # A streaming source's length is only learned when the fetch
-                # stage exhausts it, possibly inside this very step.
-                break
-            wake = self.next_wake_cycle()
-            if wake is None:
-                raise SimulationDeadlock(self.deadlock_report())
-            if max_cycles is not None:
-                wake = min(wake, max_cycles)
-            self.skip_to(wake)
-        return self.finish_run()
+        return run_lockstep([self], max_cycles, stats_start_uop)[0]
 
-    # ---------------------------------------------------- external stepping
+    # ------------------------------------------------------------ stepping
 
     def begin_run(self, stats_start_uop: Optional[int] = None) -> None:
         """Arm the stepping bookkeeping before the first :meth:`step_cycle`.
 
-        External drivers call this once per core before entering their
-        lockstep loop; :meth:`run` calls it internally.
+        :func:`run_lockstep` calls this once per core before its first cycle.
         """
         self._warmup_target = stats_start_uop or 0
         self._last_committed = self.committed_trace_uops
@@ -327,12 +298,36 @@ class OoOCore:
     def step_cycle(self) -> bool:
         """One cycle of work at ``self.cycle``, without advancing the clock.
 
-        Runs :meth:`step` plus the commit bookkeeping (cursor trimming, the
-        warmup/measurement boundary); the caller decides how the clock moves
-        afterwards — ``+1`` on progress, :meth:`skip_to` on a computed wake
-        cycle.  Returns whether any pipeline stage made progress.
+        Runs every stage, the controller and the per-cycle accounting, then
+        the commit bookkeeping (cursor trimming, the warmup boundary); the
+        caller moves the clock — ``+1`` on progress, :meth:`skip_to` on a
+        computed wake cycle.  Returns whether any stage made progress.
         """
-        progress = self.step()
+        cycle = self.cycle
+        progress = 0
+        if self._events and self._events[0][0] <= cycle:
+            progress += self._writeback()
+        progress += self._commit()
+        if self.iq._entries:
+            progress += self._issue()
+        progress += self._dispatch()
+        progress += self.frontend.tick(cycle)
+        controller = self.controller
+        if controller is not None:
+            progress += controller.tick(cycle)
+        # One evaluation serves both the new-stall edge detection and the
+        # stall-cycle accounting.
+        stalled = self._in_full_window_stall()
+        self._check_full_window_stall(stalled)
+        stats = self.stats
+        if stalled:
+            stats.full_window_stall_cycles += 1
+        if self.mode == ExecutionMode.RUNAHEAD:
+            stats.runahead_cycles += 1
+        if self.probes.cycle:
+            for probe in self.probes.cycle:
+                probe.on_cycle(self, cycle)
+
         committed = self.committed_trace_uops
         if committed != self._last_committed:
             # Only a cycle that actually retired micro-ops can advance the
@@ -344,25 +339,16 @@ class OoOCore:
                 # width inside one step; those commits are measured.
                 self._begin_measurement(committed - self._warmup_target)
                 self._warmup_target = 0
-        return progress
-
-    def next_wake_cycle(self) -> Optional[int]:
-        """The earliest cycle at which stepping again could make progress.
-
-        ``None`` means no scheduled event exists and the core is deadlocked
-        (an external driver with other still-running cores may keep stepping
-        them; it must raise once *every* core is stuck).
-        """
-        return self._next_wake_cycle()
+        return progress > 0
 
     def skip_to(self, wake: int) -> None:
         """Fast-forward the clock to ``wake`` (at least one cycle) while idle.
 
         Charges the skipped span to the stall/runahead cycle counters —
         ``skipped - 1`` because the no-progress cycle itself already counted
-        inside :meth:`step` — and fires ``on_cycles_skipped`` probes over the
+        inside :meth:`step_cycle` — and fires ``on_cycles_skipped`` probes over the
         fast-forwarded remainder.  Must only be called after a no-progress
-        :meth:`step_cycle`, mirroring the idle-skip in :meth:`run`.
+        :meth:`step_cycle`, as the idle-skip in :func:`run_lockstep` does.
         """
         stats = self.stats
         skipped = max(wake, self.cycle + 1) - self.cycle
@@ -373,7 +359,7 @@ class OoOCore:
         probes_skipped = self.probes.cycles_skipped
         if probes_skipped and skipped > 1:
             # The no-progress cycle itself already fired on_cycle inside
-            # step(); the span covers only the fast-forwarded remainder.
+            # step_cycle(); the span covers only the fast-forwarded remainder.
             for probe in probes_skipped:
                 probe.on_cycles_skipped(self, self.cycle + 1, self.cycle + skipped)
         self.cycle += skipped
@@ -410,34 +396,6 @@ class OoOCore:
         stats.committed_uops = already_measured
         events.committed_uops = already_measured
         self._stats_cycle_base = self.cycle
-
-    def step(self) -> bool:
-        """Execute one cycle; return whether any stage made progress."""
-        cycle = self.cycle
-        progress = 0
-        if self._events and self._events[0][0] <= cycle:
-            progress += self._writeback()
-        progress += self._commit()
-        if self.iq._entries:
-            progress += self._issue()
-        progress += self._dispatch()
-        progress += self.frontend.tick(cycle)
-        controller = self.controller
-        if controller is not None:
-            progress += controller.tick(cycle)
-        # One evaluation serves both the new-stall edge detection and the
-        # stall-cycle accounting (this used to be computed twice per step).
-        stalled = self._in_full_window_stall()
-        self._check_full_window_stall(stalled)
-        stats = self.stats
-        if stalled:
-            stats.full_window_stall_cycles += 1
-        if self.mode == ExecutionMode.RUNAHEAD:
-            stats.runahead_cycles += 1
-        if self.probes.cycle:
-            for probe in self.probes.cycle:
-                probe.on_cycle(self, cycle)
-        return progress > 0
 
     # -------------------------------------------------------------- writeback
 
@@ -568,32 +526,6 @@ class OoOCore:
         return retired
 
     # ------------------------------------------------------------------ issue
-
-    def _operand_ready(self, instr: DynInstr) -> bool:
-        """Reference implementation of the operand-readiness rule.
-
-        The hot path (:meth:`_issue`) uses per-cycle closures that must stay
-        semantically identical to this method; keep the two in sync.
-        """
-        src_ops = instr.src_ops
-        if not src_ops:
-            return True
-        int_ready = self.int_rf._ready
-        fp_ready = self.fp_rf._ready
-        poisoned = self.poisoned_pregs
-        controller = self.controller
-        for op in src_ops:
-            is_fp, preg = op
-            if fp_ready[preg] if is_fp else int_ready[preg]:
-                continue
-            if (
-                op in poisoned
-                and controller is not None
-                and controller.treat_poison_as_ready(instr)
-            ):
-                continue
-            return False
-        return True
 
     def _has_poisoned_source(self, instr: DynInstr) -> bool:
         if not self.poisoned_pregs:
@@ -807,15 +739,8 @@ class OoOCore:
         """Whether the ROB is full behind an outstanding long-latency load."""
         return self._in_full_window_stall()
 
-    def _check_full_window_stall(self, stalled: Optional[bool] = None) -> None:
-        """Detect the start of a new full-window stall.
-
-        ``stalled`` lets :meth:`step` pass its already-computed
-        :meth:`_in_full_window_stall` result instead of paying a second
-        evaluation per cycle; callers without one omit it.
-        """
-        if stalled is None:
-            stalled = self._in_full_window_stall()
+    def _check_full_window_stall(self, stalled: bool) -> None:
+        """Detect the start of a new full-window stall (``stalled``: one is on)."""
         if not stalled:
             self._current_stall_seq = None
             return
@@ -832,11 +757,6 @@ class OoOCore:
             self.controller.on_full_window_stall(head, self.cycle)
 
     # --------------------------------------------------- runahead transitions
-
-    @property
-    def current_runahead_interval(self) -> Optional[RunaheadInterval]:
-        """The open runahead interval, if the core is in runahead mode."""
-        return self._open_interval
 
     def enter_runahead(self, cycle: int) -> RunaheadInterval:
         """Switch to runahead mode; returns the interval record to annotate.
@@ -890,7 +810,13 @@ class OoOCore:
 
     # ------------------------------------------------------------- wake logic
 
-    def _next_wake_cycle(self) -> Optional[int]:
+    def next_wake_cycle(self) -> Optional[int]:
+        """The earliest cycle at which stepping again could make progress.
+
+        ``None`` means no scheduled event exists and the core is deadlocked
+        (:func:`run_lockstep` keeps stepping its other cores and raises once
+        *every* unfinished core is stuck).
+        """
         # Running minimum over the wake candidates: this runs on every
         # no-progress cycle (the stall fast path), so no candidate list is
         # materialised — each source is compared against ``best`` in place.
@@ -934,3 +860,89 @@ class OoOCore:
             f"ROB={len(self.rob)}/{self.rob.capacity}, IQ={len(self.iq)}/{self.iq.capacity}, "
             f"uop queue={len(self.frontend.uop_queue)}, head={head!r}"
         )
+
+
+def run_lockstep(
+    cores: Sequence[OoOCore],
+    max_cycles: Optional[int] = None,
+    stats_start_uop: Optional[int] = None,
+) -> List[CoreStats]:
+    """Run ``cores`` to completion on one shared clock; stats in core order.
+
+    The one run loop: :meth:`OoOCore.run` is this loop over one core,
+    :class:`~repro.simulation.multicore.MultiCoreSimulator` over N.  Each
+    cycle every active core steps once, in core order; a stalled core moves
+    on with the clock while any neighbour works, and when none made progress
+    all fast-forward to the earliest wake-up among them.  A core that has
+    committed its trace (or reached ``max_cycles``) is finalised and leaves
+    while the others run on.  The loop drives only the stepping API, through
+    each core instance, and raises :class:`SimulationDeadlock` naming every
+    stuck core once no unfinished core has anything scheduled.
+    """
+    if not cores or any(core.cycle != cores[0].cycle for core in cores):
+        raise ValueError("run_lockstep needs one or more cores on the same cycle")
+    for core in cores:
+        core.begin_run(stats_start_uop)
+    now = cores[0].cycle
+    results: Dict[int, CoreStats] = {}
+    active = list(cores)
+    # Whether a core may have to leave before the next cycle: at the start,
+    # one can be finished already (an empty trace) or have no cycle budget.
+    retire = True
+    while True:
+        if retire:
+            # Finalise cores that finished (or ran out of budget) on the
+            # previous cycle before anyone steps again.
+            spent = max_cycles is not None and now >= max_cycles
+            for core in active:
+                if spent or core.finished:
+                    results[id(core)] = core.finish_run()
+            active = [core for core in active if id(core) not in results]
+            if not active:
+                return [results[id(core)] for core in cores]
+            retire = False
+
+        progress = stalled = False
+        for core in active:
+            if core.step_cycle():
+                core.cycle += 1  # a finishing step's cycle is part of the run
+                progress = True
+                if core.finished:
+                    retire = True
+            elif core.finished:
+                # A streaming source's length is only learned when fetch
+                # exhausts it, possibly in a no-progress step: the core's
+                # run ends on this cycle.
+                retire = True
+            else:
+                stalled = True
+
+        if progress:
+            if stalled:
+                for core in active:
+                    if core.cycle == now and not core.finished:
+                        core.cycle += 1
+            now += 1
+        elif stalled:
+            # Only a core that finished in this very step is not stalled.
+            wake = None
+            for core in active:
+                if retire and core.finished:
+                    continue
+                candidate = core.next_wake_cycle()
+                if candidate is not None and (wake is None or candidate < wake):
+                    wake = candidate
+            if wake is None:
+                raise SimulationDeadlock("\n\n".join(
+                    f"[core {index}]\n{core.deadlock_report()}"
+                    for index, core in enumerate(cores)
+                    if core in active and not core.finished
+                ))
+            if max_cycles is not None and wake > max_cycles:
+                wake = max_cycles
+            for core in active:
+                if not (retire and core.finished):
+                    core.skip_to(wake)
+            now = wake if wake > now else now + 1
+        if max_cycles is not None and now >= max_cycles:
+            retire = True

@@ -96,11 +96,6 @@ class FrontEnd:
         """Whether no micro-ops remain anywhere in the front-end."""
         return self.trace_exhausted and not self._pipe and not self.uop_queue
 
-    @property
-    def stalled_on_branch(self) -> Optional[int]:
-        """Sequence number of the unresolved mispredicted branch fetch is waiting on."""
-        return self._stalled_on_branch_seq
-
     def next_dispatch_seq(self) -> Optional[int]:
         """Trace index of the next micro-op normal dispatch would consume.
 

@@ -46,11 +46,6 @@ class LoadStoreQueues:
         """Number of loads currently tracked."""
         return len(self._loads)
 
-    @property
-    def store_occupancy(self) -> int:
-        """Number of stores currently tracked."""
-        return len(self._stores)
-
     def can_dispatch(self, instr: "DynInstr") -> bool:
         """Whether the queues have room for ``instr`` (always true for non-memory ops)."""
         return self.can_dispatch_uop(instr.uop)

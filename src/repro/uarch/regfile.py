@@ -90,10 +90,6 @@ class PhysicalRegisterFile:
         """Mark ``reg`` as produced (called at writeback)."""
         self._ready[reg] = True
 
-    def clear_ready(self, reg: int) -> None:
-        """Mark ``reg`` as not produced."""
-        self._ready[reg] = False
-
     # ---------------------------------------------------------------- rebuild
 
     def rebuild(self, live_registers: Set[int]) -> None:

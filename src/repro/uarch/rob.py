@@ -42,11 +42,6 @@ class ReorderBuffer:
         """Whether the ROB holds no instructions."""
         return not self._entries
 
-    @property
-    def occupancy_fraction(self) -> float:
-        """Occupied fraction of the ROB."""
-        return len(self._entries) / self.capacity
-
     def head(self) -> Optional["DynInstr"]:
         """The oldest in-flight instruction, or ``None`` when empty."""
         return self._entries[0] if self._entries else None

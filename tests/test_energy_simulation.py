@@ -22,7 +22,7 @@ from repro.simulation.metrics import (
     normalized_performance,
     speedup_percent,
 )
-from repro.simulation.simulator import Simulator, run_variant
+from repro.simulation.simulator import SimulationRequest, run_simulation
 from repro.uarch.config import CoreConfig
 from repro.uarch.stats import CoreStats, RunaheadInterval
 from repro.workloads.generators import multi_slice_kernel, strided_stream
@@ -64,9 +64,10 @@ class TestEnergyModelOnRuns:
     @pytest.fixture(scope="class")
     def results(self):
         trace = multi_slice_kernel(num_uops=2_500, num_slices=4, work_per_iteration=16)
-        simulator = Simulator()
         return {
-            variant: simulator.run(trace, variant=variant, max_cycles=3_000_000)
+            variant: run_simulation(
+                trace, SimulationRequest(variant=variant, max_cycles=3_000_000)
+            )
             for variant in ("ooo", "runahead", "pre")
         }
 
@@ -146,14 +147,16 @@ class TestMetrics:
 
 
 class TestSimulationDrivers:
-    def test_run_variant_rejects_unknown(self):
+    def test_run_simulation_rejects_unknown(self):
         trace = strided_stream(num_uops=400)
         with pytest.raises(ValueError):
-            run_variant(trace, variant="quantum")
+            run_simulation(trace, SimulationRequest(variant="quantum"))
 
-    def test_run_variant_returns_complete_result(self):
+    def test_run_simulation_returns_complete_result(self):
         trace = strided_stream(num_uops=1_000)
-        result = run_variant(trace, variant="pre", max_cycles=2_000_000)
+        result = run_simulation(
+            trace, SimulationRequest(variant="pre", max_cycles=2_000_000)
+        )
         assert result.trace_name == "strided_stream"
         assert result.label == "PRE"
         assert result.ipc > 0
@@ -192,7 +195,9 @@ class TestSimulationDrivers:
 
     def test_simulator_run_all_variants(self):
         trace = strided_stream(num_uops=800)
-        simulator = Simulator()
-        results = simulator.run_all_variants(trace, variants=("ooo", "pre"))
-        assert set(results) == {"ooo", "pre"}
+        results = {
+            variant: run_simulation(trace, SimulationRequest(variant=variant))
+            for variant in ("ooo", "pre")
+        }
+        assert [result.variant for result in results.values()] == ["ooo", "pre"]
         assert all(result.stats.committed_uops == len(trace) for result in results.values())

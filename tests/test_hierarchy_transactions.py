@@ -22,13 +22,13 @@ MSHR occupancy always equals the number of outstanding fill transactions.
 from hypothesis import given, settings, strategies as st
 
 from repro.memory.cache import CacheConfig
-from repro.memory.hierarchy import HierarchyConfig, MemoryHierarchy, MemoryLevel
+from repro.memory.hierarchy import HierarchyConfig, MemoryLevel, PrivateHierarchy
 from repro.uarch.core import OoOCore
 from repro.workloads.generators import mixed_compute_memory, strided_stream
-from repro.simulation.simulator import run_variant
+from repro.simulation.simulator import SimulationRequest, run_simulation
 
 
-def tiny_hierarchy(**overrides) -> MemoryHierarchy:
+def tiny_hierarchy(**overrides) -> PrivateHierarchy:
     """A hierarchy with single-set caches so evictions are easy to force."""
     config = HierarchyConfig(
         l1i=CacheConfig("L1I", 2 * 64, 2, latency=1),
@@ -37,10 +37,10 @@ def tiny_hierarchy(**overrides) -> MemoryHierarchy:
         l3=CacheConfig("L3", 8 * 64, 8, latency=8),
         **overrides,
     )
-    return MemoryHierarchy(config)
+    return PrivateHierarchy(config)
 
 
-def settle(hierarchy: MemoryHierarchy, cycle: int) -> int:
+def settle(hierarchy: PrivateHierarchy, cycle: int) -> int:
     """Drain fills due by ``cycle`` and return the cycle for chaining."""
     hierarchy.drain(cycle)
     return cycle
@@ -102,7 +102,7 @@ class TestWritebackPropagation:
 
 class TestStoreMergingWithIfetchFill:
     def test_store_merging_with_ifetch_fill_dirties_l1d_not_l1i(self):
-        hierarchy = MemoryHierarchy()
+        hierarchy = PrivateHierarchy()
         line = 0xA00000
         first = hierarchy.access_instruction(line, 0)
         assert first.level is MemoryLevel.DRAM
@@ -131,7 +131,7 @@ class TestStoreCommitUnderMSHRPressure:
         # stalled store contributes a wake-up candidate, so the idle-skip
         # loop cannot deadlock on fills it never scheduled).
         trace = mixed_compute_memory(num_uops=1_500, store_fraction=0.4)
-        hierarchy = MemoryHierarchy(HierarchyConfig(mshr_entries=2, mshr_demand_reserve=1))
+        hierarchy = PrivateHierarchy(HierarchyConfig(mshr_entries=2, mshr_demand_reserve=1))
         core = OoOCore(trace, hierarchy=hierarchy)
         stats = core.run(max_cycles=2_000_000)
         assert core.finished
@@ -147,7 +147,7 @@ class TestStoreCommitUnderMSHRPressure:
 
 class TestPrefetcherDemandReserve:
     def test_hardware_prefetch_cannot_take_reserved_entries(self):
-        hierarchy = MemoryHierarchy(
+        hierarchy = PrivateHierarchy(
             HierarchyConfig(mshr_entries=4, mshr_demand_reserve=2, prefetcher="nextline")
         )
         # Two demand misses fill the prefetch-eligible entries (4 - 2 = 2);
@@ -164,7 +164,7 @@ class TestPrefetcherDemandReserve:
 
     def test_runahead_prefetch_uses_same_limit(self):
         config = HierarchyConfig(mshr_entries=4, mshr_demand_reserve=2)
-        hierarchy = MemoryHierarchy(config)
+        hierarchy = PrivateHierarchy(config)
         assert not hierarchy.access_data(0x1000000, 0, is_prefetch=True).retried
         assert not hierarchy.access_data(0x2000000, 0, is_prefetch=True).retried
         assert hierarchy.access_data(0x3000000, 0, is_prefetch=True).retried
@@ -202,9 +202,9 @@ class TestDRAMWritebackTiming:
     def test_write_queue_occupies_shared_bus(self):
         # A burst of posted writes must delay a subsequent read: writeback
         # traffic costs bandwidth instead of being free.
-        quiet = MemoryHierarchy().dram
+        quiet = PrivateHierarchy().dram
         baseline = quiet.access(0x0, 1_000)
-        busy = MemoryHierarchy().dram
+        busy = PrivateHierarchy().dram
         for i in range(8):
             busy.access(0x100000 + i * 0x100000, 1_000, is_write=True)
         delayed = busy.access(0x0, 1_000)
@@ -214,7 +214,7 @@ class TestDRAMWritebackTiming:
 
 class TestInstructionSideMLP:
     def test_repeated_fetches_of_missing_line_merge(self):
-        hierarchy = MemoryHierarchy()
+        hierarchy = PrivateHierarchy()
         pc = 0x700000
         first = hierarchy.access_instruction(pc, 0)
         assert first.level is MemoryLevel.DRAM
@@ -227,14 +227,14 @@ class TestInstructionSideMLP:
         assert hierarchy.dram.stats.reads == 1
 
     def test_instruction_misses_allocate_mshrs(self):
-        hierarchy = MemoryHierarchy()
+        hierarchy = PrivateHierarchy()
         assert hierarchy.mshrs.occupancy(0) == 0
         hierarchy.access_instruction(0x700000, 0)
         assert hierarchy.mshrs.occupancy(0) == 1
         assert hierarchy.inflight_lines(0) == 1
 
     def test_ifetch_waits_when_mshrs_full(self):
-        hierarchy = MemoryHierarchy(HierarchyConfig(mshr_entries=2))
+        hierarchy = PrivateHierarchy(HierarchyConfig(mshr_entries=2))
         hierarchy.access_data(0x100000, 0)
         hierarchy.access_data(0x200000, 0)
         result = hierarchy.access_instruction(0x300000, 1)
@@ -244,7 +244,7 @@ class TestInstructionSideMLP:
 
     def test_data_and_instruction_fills_share_one_miss_path(self):
         # An ifetch to a line with an outstanding *data* fill merges with it.
-        hierarchy = MemoryHierarchy()
+        hierarchy = PrivateHierarchy()
         addr = 0x800000
         hierarchy.access_data(addr, 0)
         result = hierarchy.access_instruction(addr, 5)
@@ -254,7 +254,7 @@ class TestInstructionSideMLP:
 
 class TestFillOnCompletion:
     def test_line_not_resident_before_completion(self):
-        hierarchy = MemoryHierarchy()
+        hierarchy = PrivateHierarchy()
         addr = 0x900000
         result = hierarchy.access_data(addr, 0)
         completion = result.latency
@@ -268,7 +268,7 @@ class TestFillOnCompletion:
 
     def test_hierarchy_has_no_shadow_inflight_dict(self):
         # The MSHR file is the single book of record for outstanding lines.
-        hierarchy = MemoryHierarchy()
+        hierarchy = PrivateHierarchy()
         assert not hasattr(hierarchy, "_inflight")
 
 
@@ -287,7 +287,7 @@ class TestHierarchyInvariants:
     @settings(max_examples=60, deadline=None)
     @given(ops=ACCESS_OPS)
     def test_no_early_residency_and_mshr_matches_outstanding_fills(self, ops):
-        hierarchy = MemoryHierarchy(HierarchyConfig(mshr_entries=8, mshr_demand_reserve=2))
+        hierarchy = PrivateHierarchy(HierarchyConfig(mshr_entries=8, mshr_demand_reserve=2))
         cycle = 0
         outstanding = {}  # line address -> (completion cycle, innermost target)
         for line_index, gap, kind in ops:
@@ -330,8 +330,9 @@ class TestHierarchyInvariants:
 
 class TestProbeFillEvents:
     def test_mem_profile_reports_fills_and_writebacks(self):
-        result = run_variant(
-            strided_stream(num_uops=2_000), variant="ooo", probes=["mem_profile"]
+        result = run_simulation(
+            strided_stream(num_uops=2_000),
+            SimulationRequest(variant="ooo", probes=["mem_profile"]),
         )
         report = result.probe_reports["mem_profile"]
         assert report["total"] == sum(report["levels"].values())

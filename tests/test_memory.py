@@ -4,7 +4,7 @@ import pytest
 
 from repro.memory.cache import CacheConfig, SetAssociativeCache
 from repro.memory.dram import DRAMConfig, DRAMModel
-from repro.memory.hierarchy import HierarchyConfig, MemoryHierarchy, MemoryLevel
+from repro.memory.hierarchy import HierarchyConfig, MemoryLevel, PrivateHierarchy
 from repro.memory.mshr import MSHRFile
 from repro.memory.prefetcher import NextLinePrefetcher, StridePrefetcher
 
@@ -175,21 +175,21 @@ class TestPrefetchers:
 
 class TestHierarchy:
     def test_cold_miss_goes_to_dram(self):
-        hierarchy = MemoryHierarchy()
+        hierarchy = PrivateHierarchy()
         result = hierarchy.access_data(0x100000, cycle=0)
         assert result.level is MemoryLevel.DRAM
         assert result.is_long_latency
         assert result.latency > 100
 
     def test_hit_after_fill_is_l1_latency(self):
-        hierarchy = MemoryHierarchy()
+        hierarchy = PrivateHierarchy()
         first = hierarchy.access_data(0x100000, cycle=0)
         later = hierarchy.access_data(0x100000, cycle=first.latency + 1)
         assert later.level is MemoryLevel.L1D
         assert later.latency == hierarchy.config.l1d.latency
 
     def test_access_before_fill_completes_merges_inflight(self):
-        hierarchy = MemoryHierarchy()
+        hierarchy = PrivateHierarchy()
         first = hierarchy.access_data(0x200000, cycle=0)
         second = hierarchy.access_data(0x200000, cycle=10)
         assert second.level is MemoryLevel.INFLIGHT
@@ -197,7 +197,7 @@ class TestHierarchy:
         assert second.is_long_latency
 
     def test_l2_hit_after_l1_eviction(self):
-        hierarchy = MemoryHierarchy()
+        hierarchy = PrivateHierarchy()
         base = 0x300000
         first = hierarchy.access_data(base, cycle=0)
         # Evict the line from L1 by filling its set with conflicting lines.
@@ -210,7 +210,7 @@ class TestHierarchy:
 
     def test_prefetch_reserve_blocks_prefetches_first(self):
         config = HierarchyConfig(mshr_entries=4, mshr_demand_reserve=2)
-        hierarchy = MemoryHierarchy(config)
+        hierarchy = PrivateHierarchy(config)
         # Two outstanding prefetches reach the prefetch limit (4 - 2 = 2).
         assert not hierarchy.access_data(0x1000000, 0, is_prefetch=True).retried
         assert not hierarchy.access_data(0x2000000, 0, is_prefetch=True).retried
@@ -219,24 +219,24 @@ class TestHierarchy:
         assert not hierarchy.access_data(0x4000000, 0).retried
 
     def test_instruction_access_fills_l1i(self):
-        hierarchy = MemoryHierarchy()
+        hierarchy = PrivateHierarchy()
         first = hierarchy.access_instruction(0x400000, cycle=0)
         second = hierarchy.access_instruction(0x400000, cycle=1000)
         assert first.latency > second.latency
         assert second.level is MemoryLevel.L1I
 
     def test_warm_preloads_lines(self):
-        hierarchy = MemoryHierarchy()
+        hierarchy = PrivateHierarchy()
         hierarchy.warm([0x500000])
         result = hierarchy.access_data(0x500000, cycle=0)
         assert result.level is MemoryLevel.L1D
 
     def test_unknown_prefetcher_rejected(self):
         with pytest.raises(ValueError):
-            MemoryHierarchy(HierarchyConfig(prefetcher="magic"))
+            PrivateHierarchy(HierarchyConfig(prefetcher="magic"))
 
     def test_stride_prefetcher_installs_future_lines(self):
-        hierarchy = MemoryHierarchy(HierarchyConfig(prefetcher="stride"))
+        hierarchy = PrivateHierarchy(HierarchyConfig(prefetcher="stride"))
         cycle = 0
         for i in range(6):
             hierarchy.access_data(0x600000 + i * 64, cycle=cycle, pc=0x400)

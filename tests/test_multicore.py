@@ -1,11 +1,13 @@
-"""Multi-core simulation: lockstep equivalence, attribution, and contention.
+"""Multi-core simulation: one loop, attribution, and contention.
 
 The multi-core path makes three claims this suite pins down:
 
-1. **Lockstep equivalence** — a one-core :func:`run_multicore` executes the
-   exact stepping sequence of :meth:`OoOCore.run` over a degenerate one-core
-   uncore, so every cell of the committed golden matrix must reproduce its
-   ``CoreStats`` digest bit-for-bit through the multi-core driver.
+1. **One loop, one set-up path** — :func:`run_multicore` and
+   :func:`run_simulation` build cores through one function, and
+   :func:`run_lockstep` drives one core or N, so a one-core
+   :func:`run_multicore` matches :func:`run_simulation` (whose golden
+   digests ``test_golden_stats.py`` pins), and a stuck core surfaces as
+   :class:`SimulationDeadlock` without stopping its neighbours.
 2. **Attribution conservation** — the uncore's per-core L3/DRAM counters are
    bookkeeping carved out of the shared models' own statistics; summed over
    cores they must equal the shared totals exactly, for any core count and
@@ -19,9 +21,6 @@ study expansion) rides along in the later test groups.
 """
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,40 +37,17 @@ from repro.simulation.multicore import (
     MultiCoreSpec,
     run_multicore,
 )
-from repro.simulation.simulator import SimulationRequest, run_simulation, run_variant
+from repro.simulation.simulator import SimulationRequest, run_simulation
 from repro.simulation.study import build_multicore_spec, build_study, study_jobs
-from repro.uarch.core import OoOCore
+from repro.uarch.core import OoOCore, SimulationDeadlock, run_lockstep
 from repro.uarch.probes import default_probes
-
-GOLDEN_FILE = Path(__file__).resolve().parent / "goldens" / "golden_stats.json"
-
-
-@pytest.fixture(scope="module")
-def goldens():
-    return json.loads(GOLDEN_FILE.read_text())
+from repro.uarch.stats import CoreStats
 
 
-# ------------------------------------------------- 1. lockstep equivalence
+# ----------------------------------------- 1. one loop, one set-up path
 
 
 class TestSingleCoreGoldenIdentity:
-    def test_every_golden_cell_reproduces_through_the_multicore_driver(self, goldens):
-        """N=1 run_multicore is bit-identical to the single-core goldens."""
-        num_uops = goldens["num_uops"]
-        mismatches = []
-        for workload in goldens["workloads"]:
-            trace = build_workload(workload, num_uops=num_uops)
-            for variant in goldens["variants"]:
-                result = run_multicore([(trace, variant)])
-                digest = stats_digest(result.stats)
-                expected = goldens["cells"][f"{workload}/{variant}"]["digest"]
-                if digest != expected:
-                    mismatches.append(f"{workload}/{variant}")
-        assert not mismatches, (
-            "multicore N=1 diverged from the single-core goldens for: "
-            + ", ".join(mismatches)
-        )
-
     def test_one_core_result_carries_per_core_sections(self):
         trace = build_workload("bwaves", num_uops=400)
         result = run_multicore([(trace, "pre")])
@@ -88,6 +64,74 @@ class TestSingleCoreGoldenIdentity:
         multi = run_multicore([(trace, "runahead")])
         assert stats_digest(multi.stats) == stats_digest(single.stats)
         assert multi.energy.total_nj == single.energy.total_nj
+        # The single-core entry point reports no per-core sections.
+        assert single.cores == [] and single.uncore is None
+
+
+class StubCore:
+    """Implements only the stepping API the lockstep loop drives.
+
+    Commits one of ``work`` units on every third cycle and idles in between
+    (so the loop's fast-forward path runs too); a ``stuck`` stub never makes
+    progress and has nothing scheduled.
+    """
+
+    def __init__(self, work: int = 5, stuck: bool = False) -> None:
+        self.cycle = 0
+        self.remaining = work
+        self.stuck = stuck
+        self.finish_cycle = None
+
+    @property
+    def finished(self) -> bool:
+        return not self.stuck and self.remaining == 0
+
+    def begin_run(self, stats_start_uop=None) -> None:
+        pass
+
+    def step_cycle(self) -> bool:
+        if self.stuck or self.cycle % 3:
+            return False
+        self.remaining -= 1
+        return True
+
+    def next_wake_cycle(self):
+        return None if self.stuck else self.cycle + 3 - self.cycle % 3
+
+    def skip_to(self, wake: int) -> None:
+        self.cycle = max(wake, self.cycle + 1)
+
+    def finish_run(self) -> CoreStats:
+        self.finish_cycle = self.cycle
+        return CoreStats(cycles=self.cycle)
+
+    def deadlock_report(self) -> str:
+        return f"stub stuck at cycle {self.cycle}"
+
+
+class TestLockstepLoop:
+    def test_stub_cores_run_to_completion(self):
+        cores = [StubCore(work=4), StubCore(work=2)]
+        stats = MultiCoreSimulator(cores).run()
+        assert [entry.cycles for entry in stats] == [10, 4]
+
+    def test_lone_stuck_core_raises_with_its_report(self):
+        stuck = StubCore(stuck=True)
+        with pytest.raises(SimulationDeadlock) as excinfo:
+            run_lockstep([stuck])
+        assert stuck.deadlock_report() in str(excinfo.value)
+
+    def test_stuck_core_does_not_stop_its_neighbour(self):
+        worker, stuck = StubCore(work=5), StubCore(stuck=True)
+        with pytest.raises(SimulationDeadlock) as excinfo:
+            MultiCoreSimulator([worker, stuck]).run()
+        # The neighbour ran to the end and was finalised before the error,
+        # which names only the stuck core.
+        assert worker.finished and worker.finish_cycle == 13
+        assert stuck.cycle >= worker.finish_cycle
+        message = str(excinfo.value)
+        assert "[core 1]" in message and "[core 0]" not in message
+        assert stuck.deadlock_report() in message
 
 
 # ------------------------------------------- 2. attribution conservation
@@ -199,18 +243,26 @@ class TestSimulationRequest:
         )
         assert SimulationRequest.from_dict(request.to_dict()) == request
 
-    def test_run_variant_shim_matches_run_simulation(self):
-        trace = build_workload("milc", num_uops=500)
-        via_shim = run_variant(trace, "pre")
-        via_request = run_simulation(trace, SimulationRequest(variant="pre"))
-        assert stats_digest(via_shim.stats) == stats_digest(via_request.stats)
-
     def test_rejects_unknown_variant_and_negative_warmup(self):
         trace = build_workload("milc", num_uops=100)
         with pytest.raises(ValueError, match="unknown variant"):
             run_simulation(trace, SimulationRequest(variant="warp"))
         with pytest.raises(ValueError, match="warmup_uops"):
             run_simulation(trace, SimulationRequest(warmup_uops=-1))
+
+    def test_rejects_warmup_past_the_end_of_the_trace(self):
+        trace = build_workload("milc", num_uops=500)
+        length = len(trace)
+        # A warmup of the whole trace leaves nothing to measure ...
+        whole = run_simulation(
+            trace, SimulationRequest(variant="ooo", warmup_uops=length)
+        )
+        assert whole.stats.committed_uops == 0
+        # ... and one past its end cannot be honoured, so it is refused.
+        with pytest.raises(ValueError, match="warmup_uops"):
+            run_simulation(
+                trace, SimulationRequest(variant="ooo", warmup_uops=length + 1)
+            )
 
     def test_multicore_spec_round_trips(self):
         spec = MultiCoreSpec(

@@ -4,7 +4,7 @@ import pytest
 
 from repro.registry import PROBE_REGISTRY
 from repro.simulation.engine import ExperimentEngine, SweepSpec, _job_cache_key, _job_payload
-from repro.simulation.simulator import SimulationResult, run_variant
+from repro.simulation.simulator import SimulationRequest, SimulationResult, run_simulation
 from repro.uarch.core import OoOCore
 from repro.uarch.config import CoreConfig
 from repro.uarch.probes import (
@@ -102,8 +102,9 @@ class TestProbeHooks:
 
 class TestBuiltinProbes:
     def run_with(self, probe_names, variant="pre"):
-        return run_variant(
-            strided_stream(num_uops=2_000), variant=variant, probes=probe_names
+        return run_simulation(
+            strided_stream(num_uops=2_000),
+            SimulationRequest(variant=variant, probes=list(probe_names)),
         )
 
     def test_registry_lists_builtins(self):
@@ -155,16 +156,15 @@ class TestBuiltinProbes:
         assert report["total"] > 0
 
     def test_no_probes_means_empty_reports(self):
-        result = run_variant(strided_stream(num_uops=800), variant="ooo")
+        result = run_simulation(strided_stream(num_uops=800), SimulationRequest(variant="ooo"))
         assert result.probe_reports == {}
 
 
 class TestProbeSerde:
     def test_probe_reports_survive_json_round_trip(self):
-        result = run_variant(
+        result = run_simulation(
             strided_stream(num_uops=1_000),
-            variant="pre",
-            probes=["ipc_timeline", "mem_profile"],
+            SimulationRequest(variant="pre", probes=["ipc_timeline", "mem_profile"]),
         )
         restored = SimulationResult.from_dict(result.to_dict())
         assert restored.probe_reports == result.probe_reports

@@ -10,7 +10,7 @@ from repro.memory.cache import CacheConfig
 from repro.memory.dram import DRAMConfig
 from repro.memory.hierarchy import HierarchyConfig
 from repro.simulation.experiment import BenchmarkResult, ComparisonResult, run_comparison
-from repro.simulation.simulator import SimulationResult, run_variant
+from repro.simulation.simulator import SimulationRequest, SimulationResult, run_simulation
 from repro.uarch.config import CoreConfig
 from repro.uarch.stats import CoreStats, EventCounts, ResourceSnapshot, RunaheadInterval
 from repro.workloads.spec_surrogates import build_surrogate
@@ -19,7 +19,7 @@ from repro.workloads.spec_surrogates import build_surrogate
 @pytest.fixture(scope="module")
 def pre_result() -> SimulationResult:
     trace = build_surrogate("milc", num_uops=1_000)
-    return run_variant(trace, variant="pre")
+    return run_simulation(trace, SimulationRequest(variant="pre"))
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,7 @@ The tentpole contract has three layers, each tested here:
   4-shard estimate stays within tolerance of the unsharded truth on every
   Figure-2 workload;
 * the degenerate plan (one shard, zero warmup) is *exact*: digest-identical
-  to :func:`~repro.simulation.simulator.run_variant` and served from the
+  to :func:`~repro.simulation.simulator.run_simulation` and served from the
   same result-cache entry as a plain replay.
 """
 
@@ -25,7 +25,7 @@ from repro.simulation.shard import (
     plan_shards,
     run_sharded,
 )
-from repro.simulation.simulator import run_simpoints, run_variant
+from repro.simulation.simulator import SimulationRequest, run_simpoints, run_simulation
 from repro.workloads.generators import strided_stream
 from repro.workloads.source import GeneratorSource
 
@@ -88,9 +88,9 @@ class TestPlanShards:
 class TestExactPath:
     """shards=1 with zero warmup is the unsharded run, bit for bit."""
 
-    def test_digest_identical_to_run_variant(self):
+    def test_digest_identical_to_run_simulation(self):
         trace = build_workload("sphinx3", num_uops=3_000)
-        base = run_variant(trace, variant="ooo")
+        base = run_simulation(trace, SimulationRequest(variant="ooo"))
         sharded = run_sharded(trace, variant="ooo", shards=1)
         assert sharded.exact
         assert stats_digest(sharded.stitched_stats) == stats_digest(base.stats)
@@ -113,7 +113,7 @@ class TestStitching:
 
     def test_committed_uops_and_warmup_isolation(self):
         trace = build_workload("sphinx3", num_uops=6_000)
-        base = run_variant(trace, variant="ooo")
+        base = run_simulation(trace, SimulationRequest(variant="ooo"))
         sharded = run_sharded(trace, variant="ooo", shards=4, warmup_uops=750)
         assert not sharded.exact
         # Stitched totals equal the unsharded run's committed count exactly.
@@ -132,7 +132,7 @@ class TestStitching:
     @pytest.mark.parametrize("workload", DEFAULT_GOLDEN_WORKLOADS)
     def test_four_shard_ipc_within_tolerance(self, workload):
         trace = build_workload(workload, num_uops=12_000)
-        base = run_variant(trace, variant="ooo")
+        base = run_simulation(trace, SimulationRequest(variant="ooo"))
         sharded = run_sharded(trace, variant="ooo", shards=4, warmup_uops=5_000)
         assert sharded.stitched_ipc == pytest.approx(base.ipc, rel=0.02)
 

@@ -6,8 +6,9 @@ import pytest
 
 from repro.simulation.simulator import (
     SimPointRunResult,
+    SimulationRequest,
     run_simpoints,
-    run_variant,
+    run_simulation,
 )
 from repro.workloads.generators import multi_slice_kernel, strided_stream
 from repro.workloads.simpoint import SimPointSampler, sample_trace
@@ -112,7 +113,7 @@ class TestWindowedExecution:
         windowed = run_simpoints(
             trace, variant="ooo", interval_size=2_000, max_clusters=3
         )
-        full = run_variant(trace, variant="ooo")
+        full = run_simulation(trace, SimulationRequest(variant="ooo"))
         # The stream is highly regular, so the weighted estimate must land
         # near the full-run IPC (generous band: sampling skips warm-up).
         assert windowed.weighted_ipc == pytest.approx(full.ipc, rel=0.25)

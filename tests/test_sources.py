@@ -3,7 +3,7 @@
 import pytest
 
 from repro.registry import WORKLOAD_REGISTRY, build_workload, build_workload_source
-from repro.simulation.simulator import run_variant
+from repro.simulation.simulator import SimulationRequest, run_simulation
 from repro.uarch.core import OoOCore
 from repro.workloads.generators import multi_slice_kernel, strided_stream
 from repro.workloads.source import (
@@ -71,9 +71,9 @@ class TestGeneratorSource:
         # Regression: an unknown-length source whose exhaustion is discovered
         # mid-step must finish, not raise SimulationDeadlock.
         empty = GeneratorSource(lambda: iter(()), {}, name="empty")
-        result = run_variant(empty, variant="ooo")
+        result = run_simulation(empty, SimulationRequest(variant="ooo"))
         assert result.stats.committed_uops == 0
-        eager = run_variant(Trace([], name="empty"), variant="ooo")
+        eager = run_simulation(Trace([], name="empty"), SimulationRequest(variant="ooo"))
         assert result.stats.cycles == eager.stats.cycles
 
     def test_unknown_length_until_exhausted(self):
@@ -229,8 +229,8 @@ class TestStreamingEquivalence:
         for name in WORKLOAD_REGISTRY.names():
             trace = build_workload(name, num_uops=1_200)
             source = build_workload_source(name, num_uops=1_200)
-            eager = run_variant(trace, variant="pre")
-            streamed = run_variant(source, variant="pre")
+            eager = run_simulation(trace, SimulationRequest(variant="pre"))
+            streamed = run_simulation(source, SimulationRequest(variant="pre"))
             assert streamed.stats.to_dict() == eager.stats.to_dict(), name
             assert streamed.energy.to_dict() == eager.energy.to_dict(), name
 
@@ -239,8 +239,8 @@ class TestStreamingEquivalence:
         source = GeneratorSource(
             strided_stream.stream, {"num_uops": 1_500}, name=trace.name
         )
-        eager = run_variant(trace, variant="runahead_buffer")
-        streamed = run_variant(source, variant="runahead_buffer")
+        eager = run_simulation(trace, SimulationRequest(variant="runahead_buffer"))
+        streamed = run_simulation(source, SimulationRequest(variant="runahead_buffer"))
         assert streamed.stats.to_dict() == eager.stats.to_dict()
 
 

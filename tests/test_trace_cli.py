@@ -5,7 +5,7 @@ import json
 from repro.__main__ import main
 from repro.registry import build_workload
 from repro.simulation.engine import ExperimentEngine
-from repro.simulation.simulator import run_variant
+from repro.simulation.simulator import SimulationRequest, run_simulation
 from repro.workloads.source import FileTraceSource, write_trace_file
 
 
@@ -55,7 +55,7 @@ class TestReplay:
         assert rc == 0
         payload = json.loads(out_json.read_text())
         replayed = payload["benchmarks"][0]["results"]["pre"]
-        direct = run_variant(FileTraceSource(path), variant="pre")
+        direct = run_simulation(FileTraceSource(path), SimulationRequest(variant="pre"))
         assert replayed["stats"] == direct.stats.to_dict()
         assert replayed["energy"] == direct.energy.to_dict()
 
