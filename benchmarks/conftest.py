@@ -17,7 +17,7 @@ import os
 import pytest
 
 from bench_common import FIGURE_BENCHMARKS, FIGURE_TRACE_UOPS
-from repro.simulation.engine import ExperimentEngine
+from repro.simulation.engine import ExperimentEngine, SweepSpec
 from repro.simulation.experiment import ComparisonResult
 
 
@@ -28,4 +28,7 @@ def figure_comparison() -> ComparisonResult:
         workers=int(os.environ.get("REPRO_BENCH_WORKERS", "1")),
         cache_dir=os.environ.get("REPRO_BENCH_CACHE") or None,
     )
-    return engine.run_workloads(FIGURE_BENCHMARKS, num_uops=FIGURE_TRACE_UOPS)
+    sweep = engine.run_sweep(
+        SweepSpec(workloads=list(FIGURE_BENCHMARKS), num_uops=FIGURE_TRACE_UOPS)
+    )
+    return sweep.comparison

@@ -18,7 +18,7 @@ Run with:  python examples/reproduce_figure2.py [--uops N] [--benchmarks a,b,c]
 import argparse
 
 from repro.analysis.report import format_performance_figure, summarize_comparison
-from repro.simulation.engine import ExperimentEngine
+from repro.simulation.engine import ExperimentEngine, SweepSpec
 from repro.workloads.spec_surrogates import surrogate_names
 
 
@@ -56,7 +56,9 @@ def main() -> None:
     print(f"simulating {len(names)} benchmarks x 5 core variants "
           f"({args.uops} micro-ops each, {args.workers} worker(s)) ...\n")
     engine = ExperimentEngine(workers=args.workers, cache_dir=args.cache_dir)
-    comparison = engine.run_workloads(names, num_uops=args.uops, probes=args.probe or [])
+    comparison = engine.run_sweep(
+        SweepSpec(workloads=names, num_uops=args.uops, probes=args.probe or [])
+    ).comparison
 
     print(format_performance_figure(comparison))
     print()

@@ -16,7 +16,7 @@ Run with:  python examples/reproduce_figure3.py [--uops N] [--workers N]
 import argparse
 
 from repro.analysis.report import format_energy_figure
-from repro.simulation.engine import ExperimentEngine
+from repro.simulation.engine import ExperimentEngine, SweepSpec
 
 
 def main() -> None:
@@ -38,7 +38,9 @@ def main() -> None:
     print(f"simulating {len(names)} benchmarks x 5 core variants "
           f"({args.workers} worker(s)) ...\n")
     engine = ExperimentEngine(workers=args.workers, cache_dir=args.cache_dir)
-    comparison = engine.run_workloads(names, num_uops=args.uops, probes=args.probe or [])
+    comparison = engine.run_sweep(
+        SweepSpec(workloads=names, num_uops=args.uops, probes=args.probe or [])
+    ).comparison
 
     print(format_energy_figure(comparison))
     print()

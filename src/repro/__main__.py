@@ -92,9 +92,12 @@ from repro.registry import (
 )
 from repro.simulation.engine import (
     ExperimentEngine,
+    JobSpec,
     ResultCache,
     SweepResult,
     SweepSpec,
+    assemble_comparison,
+    resolve_variants,
 )
 from repro.simulation.golden import DEFAULT_GOLDEN_WORKLOADS
 from repro.workloads.source import (
@@ -299,12 +302,18 @@ def _cmd_trace_replay(args: argparse.Namespace) -> int:
         + ") ...",
         file=sys.stderr,
     )
-    comparison = engine.run_trace_files(
-        sources,
-        variants=variants,
-        max_cycles=args.max_cycles,
-        probes=list(args.probe or []),
-    )
+    variants = resolve_variants(variants)
+    jobs = [
+        JobSpec(
+            trace=source,
+            variant=variant,
+            max_cycles=args.max_cycles,
+            probes=list(args.probe or []),
+        )
+        for source in sources
+        for variant in variants
+    ]
+    comparison = assemble_comparison(names, variants, engine.run_jobs(jobs))
     stats = engine.last_run_stats
     print(
         f"done: {stats.total_jobs} cells, {stats.simulated} simulated, "

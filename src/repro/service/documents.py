@@ -20,11 +20,12 @@ reports cache-dedupe accounting in the admission response.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.errors import BadSpecError
-from repro.simulation.engine import ExperimentEngine, SweepSpec
-from repro.simulation.shard import ReplaySpec, run_replay_spec
+from repro.simulation.engine import ExperimentEngine, SweepSpec, sweep_jobs
+from repro.simulation.shard import ReplaySpec, run_replay_spec, shard_jobs
 from repro.simulation.study import StudySpec, build_study, run_study, study_jobs
 from repro.workloads.source import FileTraceSource, read_trace_header
 
@@ -66,21 +67,30 @@ class ParsedDocument:
     def expand_payloads(self, engine: ExperimentEngine) -> List[Dict[str, Any]]:
         """The engine payloads this document will run, in execution order."""
         if self.kind == "sweep":
-            return engine.expand_sweep_payloads(self.spec)
+            return engine.expand_job_payloads(sweep_jobs(self.spec, engine))
         if self.kind == "study":
             return engine.expand_job_payloads(study_jobs(self.spec, engine))
-        header = read_trace_header(self.spec.trace_file)
-        return engine.expand_trace_window_payloads(
-            FileTraceSource(self.spec.trace_file),
-            self.spec.variant,
-            self.spec.windows(header["count"]),
-            max_cycles=self.spec.max_cycles,
-            probes=list(self.spec.probes),
+        source = FileTraceSource(self.spec.trace_file)
+        return engine.expand_job_payloads(
+            shard_jobs(
+                source,
+                self.spec.plan(source.length),
+                self.spec.variant,
+                max_cycles=self.spec.max_cycles,
+                probes=self.spec.probes,
+            )
         )
 
     def cache_probe(self, engine: ExperimentEngine) -> Dict[str, int]:
-        """Admission-time dedupe accounting: ``{"total": N, "cached": H}``."""
-        cached, total = engine.cache_probe(self.expand_payloads(engine))
+        """Admission-time dedupe accounting: ``{"total": N, "cached": H}``.
+
+        Expansion is the last admission check: a spec that parses but cannot
+        expand (an unknown config override, a non-positive trace length) is
+        as bad a document as one that fails :func:`parse_document`.
+        """
+        with _bad_spec(self.kind):
+            payloads = self.expand_payloads(engine)
+        cached, total = engine.cache_probe(payloads)
         return {"total": total, "cached": cached}
 
     # ------------------------------------------------------------ execution
@@ -97,7 +107,7 @@ class ParsedDocument:
         type (:class:`SweepResult` / :class:`StudyResult` /
         :class:`ShardedRunResult`), so clients rebuild the same objects the
         in-process APIs return.  ``executor`` is the engine's cell-batch
-        execution seam (see :meth:`ExperimentEngine._run_jobs`) — the server
+        execution seam (see :meth:`ExperimentEngine.run_jobs`) — the server
         passes its fleet coordinator here when remote workers are registered.
         """
         if self.kind == "sweep":
@@ -132,18 +142,25 @@ def parse_document(data: Any) -> ParsedDocument:
             f"unknown document kind {kind!r}; expected one of "
             f"{', '.join(DOCUMENT_KINDS)}"
         )
-    try:
+    with _bad_spec(kind):
         if kind == "study" and "study" in data:
             spec = _build_named_study(data)
         else:
             spec = _parse_spec(kind, data)
         _validate(kind, spec)
+    return ParsedDocument(kind, spec, {"kind": kind, "spec": spec.to_dict()})
+
+
+@contextmanager
+def _bad_spec(kind: str) -> Iterator[None]:
+    """Re-raise validation errors as a client-facing :class:`BadSpecError`."""
+    try:
+        yield
     except BadSpecError:
         raise
     except (KeyError, ValueError, TypeError, OSError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         raise BadSpecError(f"invalid {kind} document: {message}") from exc
-    return ParsedDocument(kind, spec, {"kind": kind, "spec": spec.to_dict()})
 
 
 _SPEC_TYPES = {"sweep": SweepSpec, "study": StudySpec, "replay": ReplaySpec}
@@ -188,8 +205,6 @@ def _validate(kind: str, spec: Any) -> None:
         spec.resolved_workloads()
         spec.resolved_variants()
         spec.resolved_probes()
-        if spec.num_uops is not None and spec.num_uops <= 0:
-            raise BadSpecError(f"num_uops must be positive, got {spec.num_uops}")
     elif kind == "study":
         spec.resolved_workloads()
         spec.resolved_variants()

@@ -454,7 +454,7 @@ class FleetCoordinator:
             }
 
     def make_executor(self, record: Any) -> Callable:
-        """The engine ``executor`` seam for one job (see ``_run_jobs``)."""
+        """The engine ``executor`` seam for one job (see ``run_jobs``)."""
 
         def executor(payloads, on_result):
             self.execute(record, payloads, on_result)

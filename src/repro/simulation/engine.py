@@ -1,9 +1,10 @@
 """Parallel experiment engine with an on-disk result cache.
 
 The paper's evaluation is a cross-product of workloads x core variants
-(optionally x configuration overrides).  Every cell of that grid is an
-independent simulation, so this module expands a sweep into *jobs* and runs
-them:
+(optionally x configuration overrides, plus SimPoint windows).  Every cell of
+that grid is one :class:`JobSpec`; sweeps (:func:`sweep_jobs`), studies,
+shards and SimPoint intervals are pure functions that build them, and
+:meth:`ExperimentEngine.run_jobs` runs any list of them:
 
 * **in parallel** across processes (``workers > 1``) via
   ``concurrent.futures.ProcessPoolExecutor``, with a **serial fallback**
@@ -20,9 +21,10 @@ Workloads are referenced *by name* through
 :data:`repro.registry.WORKLOAD_REGISTRY` (worker processes rebuild the trace
 locally rather than unpickling megabytes of micro-ops), and variants through
 :data:`repro.registry.VARIANT_REGISTRY`; anything registered with
-``@register_workload`` / ``@register_variant`` can be swept.  Pre-built
-:class:`~repro.workloads.trace.Trace` objects are also accepted
-(:meth:`ExperimentEngine.run_traces`) and cached by a digest of their content.
+``@register_workload`` / ``@register_variant`` can be swept.  In-process
+:class:`~repro.workloads.trace.Trace` and
+:class:`~repro.workloads.source.TraceSource` objects are also accepted
+(``JobSpec(trace=...)``) and cached by a digest of their content.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import repro.workloads  # noqa: F401  (imported for its workload registrations)
 from repro.errors import JobCancelled
@@ -50,18 +52,14 @@ from repro.simulation.simulator import (
     run_simulation,
 )
 from repro.uarch.config import CoreConfig
-from repro.workloads.source import (
-    FileTraceSource,
-    TraceSource,
-    as_source,
-    trace_file_digest,
-)
+from repro.workloads.source import FileTraceSource, TraceSource, as_source
 from repro.workloads.trace import Trace
 
 #: Bump when the simulator or result schema changes incompatibly; invalidates
 #: every cached result.  v5: multi-core co-runner specs joined the job
-#: descriptor and results grew per-core/uncore sections.
-CACHE_SCHEMA_VERSION = 5
+#: descriptor and results grew per-core/uncore sections.  v6: ``JobSpec``'s
+#: ``trace_file`` path became an in-process ``trace``.
+CACHE_SCHEMA_VERSION = 6
 
 
 # --------------------------------------------------------------------- sweeps
@@ -193,23 +191,28 @@ class EngineRunStats:
 
 @dataclass
 class JobSpec(JSONSerializable):
-    """One fully-specified simulation cell for :meth:`ExperimentEngine.run_jobs`.
+    """One fully-specified simulation cell: the engine's only unit of work.
 
     Unlike :class:`SweepSpec` — which applies one configuration to a whole
     benchmarks x variants grid — a ``JobSpec`` pins its *own* core and
-    hierarchy configuration, which is what lets the sensitivity-study layer
-    (:mod:`repro.simulation.study`) run an entire cartesian product of
-    configurations through one engine call (one process pool, one cache pass).
-    ``config``/``hierarchy_config`` default to the engine's own.
+    hierarchy configuration, so sweeps, studies, shards and SimPoint windows
+    all expand into one list of jobs and run through one engine call (one
+    process pool, one cache pass).  ``config``/``hierarchy_config`` default
+    to the engine's own.
 
     The trace comes from exactly one of two places: ``workload`` (a registry
-    name, rebuilt locally by each worker) or ``trace_file`` (a recorded trace
-    path, streamed locally and cache-keyed by content digest).  ``window``
+    name, rebuilt locally by each worker) or ``trace`` (an in-process
+    :class:`~repro.workloads.trace.Trace` or
+    :class:`~repro.workloads.source.TraceSource`).  A recorded
+    :class:`~repro.workloads.source.FileTraceSource` ships to workers by path
+    and is cache-keyed by its file digest; any other trace ships as the
+    object itself and is keyed by a digest of its micro-ops.  ``window``
     restricts the run to the micro-ops in ``[start, end)`` and
     ``warmup_uops`` additionally simulates that many micro-ops *before*
     ``start`` without counting them in the returned statistics — the shard
-    execution path (:mod:`repro.simulation.shard`).  Both fold into the
-    content-hash cache key.
+    and SimPoint path.  A window spanning the whole of a known-length trace
+    with no warmup is dropped at expansion, so it shares its cache entry with
+    the plain job.  Everything folds into the content-hash cache key.
     """
 
     workload: str = ""
@@ -219,7 +222,7 @@ class JobSpec(JSONSerializable):
     hierarchy_config: Optional[HierarchyConfig] = None
     max_cycles: Optional[int] = None
     probes: Sequence[str] = field(default_factory=list)
-    trace_file: Optional[str] = None
+    trace: Optional[Union[Trace, TraceSource]] = None
     window: Optional[Tuple[int, int]] = None
     warmup_uops: int = 0
     #: Co-runner cores sharing the uncore with this job's own (workload,
@@ -227,6 +230,38 @@ class JobSpec(JSONSerializable):
     #: traces are rebuilt by name in each worker) and is incompatible with
     #: ``window``/``warmup_uops``.
     multicore: Optional[MultiCoreSpec] = None
+
+
+def sweep_jobs(spec: SweepSpec, engine: "ExperimentEngine") -> List[JobSpec]:
+    """Expand a sweep into engine jobs: configs x workloads x variants.
+
+    The spec-to-job adapter mirroring
+    :func:`~repro.simulation.study.study_jobs`: :meth:`ExperimentEngine.run_sweep`
+    runs these jobs and the service expands them for admission-time dedupe.
+    Config overrides apply on top of ``engine.config``.
+    """
+    variants = spec.resolved_variants()
+    workloads = spec.resolved_workloads()
+    probes = spec.resolved_probes()
+    jobs: List[JobSpec] = []
+    for overrides in spec.configs or [{}]:
+        config = (
+            engine.config.with_overrides(**overrides) if overrides else engine.config
+        )
+        jobs.extend(
+            JobSpec(
+                workload=name,
+                variant=variant,
+                num_uops=spec.num_uops,
+                config=config,
+                max_cycles=spec.max_cycles,
+                probes=probes,
+                multicore=spec.multicore,
+            )
+            for name in workloads
+            for variant in variants
+        )
+    return jobs
 
 
 # ----------------------------------------------------------------- job model
@@ -266,6 +301,8 @@ def _job_payload(
     warmup_uops: int = 0,
     multicore: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
+    if warmup_uops < 0:
+        raise ValueError(f"warmup_uops must be >= 0, got {warmup_uops}")
     if window is not None:
         start, end = window
         if start < 0 or end < start:
@@ -640,7 +677,7 @@ class ResultCache:
 
 
 class ExperimentEngine:
-    """Expands sweeps into jobs and runs them in parallel, serially, or from cache.
+    """Runs :class:`JobSpec` cells in parallel, serially, or from cache.
 
     Parameters
     ----------
@@ -674,46 +711,8 @@ class ExperimentEngine:
     # ----------------------------------------------------------- public API
 
     def expand_sweep_payloads(self, spec: SweepSpec) -> List[Dict[str, Any]]:
-        """Expand a sweep spec into engine job payloads without running them.
-
-        The admission seam for the experiment service: expanding first lets a
-        caller compute cache keys (:meth:`cache_probe`) and report how much of
-        a submitted sweep is already deduped *before* scheduling anything.
-        """
-        variants = spec.resolved_variants()
-        workloads = spec.resolved_workloads()
-        probes = spec.resolved_probes()
-        override_sets = [dict(overrides) for overrides in spec.configs] or [{}]
-        multicore = (
-            _multicore_payload(spec.multicore) if spec.multicore is not None else None
-        )
-
-        payloads: List[Dict[str, Any]] = []
-        for overrides in override_sets:
-            config = self.config.with_overrides(**overrides) if overrides else self.config
-            for name in workloads:
-                entry = WORKLOAD_REGISTRY.get(name)
-                source = {
-                    "kind": "workload",
-                    "name": name,
-                    "num_uops": spec.num_uops,
-                    "token": _workload_token(entry),
-                }
-                for variant in variants:
-                    payloads.append(
-                        _job_payload(
-                            benchmark=name,
-                            variant=variant,
-                            source=source,
-                            trace=None,
-                            config=config,
-                            hierarchy_config=self.hierarchy_config,
-                            max_cycles=spec.max_cycles,
-                            probes=probes,
-                            multicore=multicore,
-                        )
-                    )
-        return payloads
+        """The payloads of :func:`sweep_jobs` (see :meth:`expand_job_payloads`)."""
+        return self.expand_job_payloads(sweep_jobs(spec, self))
 
     def cache_probe(self, payloads: Sequence[Dict[str, Any]]) -> Tuple[int, int]:
         """``(cached, total)`` cells among ``payloads``, without running them.
@@ -733,156 +732,72 @@ class ExperimentEngine:
         """Run a full sweep spec and return one comparison grid per config."""
         variants = spec.resolved_variants()
         workloads = spec.resolved_workloads()
-        override_sets = [dict(overrides) for overrides in spec.configs] or [{}]
-        results = self._run_jobs(
-            self.expand_sweep_payloads(spec), progress=progress, executor=executor
+        results = self.run_jobs(
+            sweep_jobs(spec, self), progress=progress, executor=executor
         )
-        cells: List[SweepCell] = []
-        cursor = 0
         grid = len(workloads) * len(variants)
-        for overrides in override_sets:
-            chunk = results[cursor : cursor + grid]
-            cursor += grid
-            cells.append(
-                SweepCell(
-                    overrides=overrides,
-                    comparison=assemble_comparison(workloads, variants, chunk),
-                )
+        cells = [
+            SweepCell(
+                overrides=dict(overrides),
+                comparison=assemble_comparison(
+                    workloads, variants, results[index * grid : (index + 1) * grid]
+                ),
             )
+            for index, overrides in enumerate(spec.configs or [{}])
+        ]
         return SweepResult(spec=spec, cells=cells)
 
-    def _run_benchmark_grid(
-        self,
-        jobs: Sequence[Tuple[str, Dict[str, Any], Optional[Trace]]],
-        variant_list: Sequence[str],
-        max_cycles: Optional[int],
-        probes: Sequence[str],
-    ) -> ComparisonResult:
-        """Run (benchmark, source, trace?) x variants and assemble the grid."""
-        for name in probes:
-            PROBE_REGISTRY.get(name)  # fail on typos before any worker spawns
-        payloads: List[Dict[str, Any]] = []
-        for benchmark, source, trace in jobs:
-            for variant in variant_list:
-                payloads.append(
-                    _job_payload(
-                        benchmark=benchmark,
-                        variant=variant,
-                        source=source,
-                        trace=trace,
-                        config=self.config,
-                        hierarchy_config=self.hierarchy_config,
-                        max_cycles=max_cycles,
-                        probes=probes,
-                    )
-                )
-        results = self._run_jobs(payloads)
-        return assemble_comparison(
-            [benchmark for benchmark, _, _ in jobs], variant_list, results
-        )
-
-    def run_traces(
-        self,
-        traces: Iterable[Trace],
-        variants: Sequence[str] = (),
-        max_cycles: Optional[int] = None,
-        probes: Sequence[str] = (),
-    ) -> ComparisonResult:
-        """Run pre-built traces on every variant (the ``run_comparison`` path)."""
-        jobs = []
-        for trace in traces:
-            source = {"kind": "trace", "name": trace.name}
-            if self.cache is not None:
-                # Hash the trace once here rather than once per variant job.
-                source["digest"] = _trace_digest(trace)
-            jobs.append((trace.name, source, trace))
-        return self._run_benchmark_grid(
-            jobs, resolve_variants(variants), max_cycles, probes
-        )
-
-    def run_trace_files(
-        self,
-        paths: Sequence[Union[str, Path, FileTraceSource]],
-        variants: Sequence[str] = (),
-        max_cycles: Optional[int] = None,
-        probes: Sequence[str] = (),
-    ) -> ComparisonResult:
-        """Replay recorded trace files on every variant.
-
-        Accepts paths or ready-made :class:`FileTraceSource` objects (so
-        callers that already opened a file do not parse its header twice).
-        Cache keys incorporate a digest of each file's *content* (not its
-        path), so re-recording or editing a trace file always invalidates its
-        cached cells while moved/copied files still hit, and worker processes
-        stream the file locally instead of receiving pickled micro-ops.
-        """
-        jobs = []
-        for path in paths:
-            file_source = (
-                path if isinstance(path, FileTraceSource) else FileTraceSource(path)
-            )
-            source = {
-                "kind": "file",
-                "name": file_source.name,
-                "path": str(file_source.path),
-            }
-            if self.cache is not None:
-                # Only the cache key consumes the digest; skip hashing a
-                # potentially huge file when no cache is configured.
-                source["digest"] = trace_file_digest(file_source.path)
-            jobs.append((file_source.name, source, None))
-        return self._run_benchmark_grid(
-            jobs, resolve_variants(variants), max_cycles, probes
-        )
-
-    def run_jobs(
-        self, jobs: Sequence[JobSpec], progress=None, executor=None
-    ) -> List[SimulationResult]:
-        """Run heterogeneous, individually-configured cells in one engine pass.
-
-        Jobs are validated up front (unknown workload/variant/probe names fail
-        before anything simulates), expanded in the given order, and funnelled
-        through the same cache + pool machinery as sweeps, so results come
-        back in job order and ``last_run_stats`` accounts for the whole batch.
-        """
-        return self._run_jobs(
-            self.expand_job_payloads(jobs), progress=progress, executor=executor
-        )
-
     def expand_job_payloads(self, jobs: Sequence[JobSpec]) -> List[Dict[str, Any]]:
-        """Validate and expand :class:`JobSpec`\\ s into engine job payloads."""
+        """Validate and expand :class:`JobSpec`\\ s into engine job payloads.
+
+        The one expander, and the admission seam for the experiment service:
+        expanding without running lets a caller compute cache keys
+        (:meth:`cache_probe`) before scheduling anything.  Unknown
+        workload/variant/probe names, probe instances, non-positive
+        ``num_uops`` and malformed windows all fail here, before any worker
+        spawns.  Each distinct trace is described (and, with a cache,
+        digested) once per call.
+        """
         payloads: List[Dict[str, Any]] = []
-        file_digests: Dict[str, str] = {}
+        sources: Dict[Any, Tuple[str, Dict[str, Any], Optional[int]]] = {}
         for job in jobs:
             VARIANT_REGISTRY.get(job.variant)
             for name in job.probes:
+                if not isinstance(name, str):
+                    raise TypeError(
+                        "jobs accept probe registry names only (got "
+                        f"{type(name).__name__}): jobs cross a process boundary "
+                        "and each run needs fresh probe instances"
+                    )
                 PROBE_REGISTRY.get(name)
-            if bool(job.workload) == bool(job.trace_file):
-                raise ValueError(
-                    "JobSpec needs exactly one of workload= or trace_file="
-                )
-            if job.multicore is not None and job.trace_file is not None:
+            if bool(job.workload) == (job.trace is not None):
+                raise ValueError("JobSpec needs exactly one of workload= or trace=")
+            if job.num_uops is not None and job.num_uops <= 0:
+                raise ValueError(f"num_uops must be positive, got {job.num_uops}")
+            if job.multicore is not None and job.trace is not None:
                 raise ValueError(
                     "multicore jobs need a workload= source (co-runner traces "
                     "are rebuilt by registry name in each worker)"
                 )
-            if job.trace_file is not None:
-                benchmark, source = self._file_source(job.trace_file, file_digests)
-            else:
-                benchmark = job.workload
-                entry = WORKLOAD_REGISTRY.get(job.workload)
-                source = {
-                    "kind": "workload",
-                    "name": job.workload,
-                    "num_uops": job.num_uops,
-                    "token": _workload_token(entry),
-                }
+            key = (job.workload, job.num_uops) if job.trace is None else id(job.trace)
+            if key not in sources:
+                sources[key] = self._describe_source(job)
+            benchmark, source, length = sources[key]
+            window = job.window
+            if (
+                window is not None
+                and window[0] == 0
+                and job.warmup_uops == 0
+                and length is not None
+                and window[1] >= length
+            ):
+                window = None  # whole trace: identical to an un-windowed job
             payloads.append(
                 _job_payload(
                     benchmark=benchmark,
                     variant=job.variant,
                     source=source,
-                    trace=None,
+                    trace=job.trace if source["kind"] == "trace" else None,
                     config=job.config if job.config is not None else self.config,
                     hierarchy_config=(
                         job.hierarchy_config
@@ -891,7 +806,7 @@ class ExperimentEngine:
                     ),
                     max_cycles=job.max_cycles,
                     probes=job.probes,
-                    window=job.window,
+                    window=window,
                     warmup_uops=job.warmup_uops,
                     multicore=(
                         _multicore_payload(job.multicore)
@@ -902,141 +817,50 @@ class ExperimentEngine:
             )
         return payloads
 
-    def _file_source(
-        self, path: Union[str, Path], digests: Dict[str, str]
-    ) -> Tuple[str, Dict[str, Any]]:
-        """A ``"file"``-kind source descriptor, digesting each file once."""
-        file_source = (
-            path if isinstance(path, FileTraceSource) else FileTraceSource(path)
-        )
-        source = {
-            "kind": "file",
-            "name": file_source.name,
-            "path": str(file_source.path),
-        }
-        if self.cache is not None:
-            key = str(file_source.path)
-            if key not in digests:
-                digests[key] = trace_file_digest(file_source.path)
-            source["digest"] = digests[key]
-        return file_source.name, source
+    def _describe_source(
+        self, job: JobSpec
+    ) -> Tuple[str, Dict[str, Any], Optional[int]]:
+        """``(benchmark, source descriptor, known length)`` of a job's trace.
 
-    def run_trace_windows(
-        self,
-        trace: Union[Trace, TraceSource],
-        variant: str,
-        windows: Sequence[Tuple[int, int, int]],
-        config: Optional[CoreConfig] = None,
-        hierarchy_config: Optional[HierarchyConfig] = None,
-        max_cycles: Optional[int] = None,
-        probes: Sequence[str] = (),
-        progress=None,
-        executor=None,
-    ) -> List[SimulationResult]:
-        """Run windows of one trace as independent cells (the shard path).
-
-        ``windows`` is a sequence of ``(start, end, warmup_uops)`` triples:
-        each cell simulates ``[start - warmup, end)`` of ``trace`` but only
-        the micro-ops from ``start`` onward count in its statistics.  A single
-        window covering the whole trace with zero warmup is normalised to a
-        plain (un-windowed) job, so it shares cache entries — and bit-exact
-        results — with ordinary full-trace replays of the same source.
+        Digests feed only the cache key, so they are skipped (a potentially
+        huge file or trace left unhashed) when no cache is configured.
         """
-        payloads = self.expand_trace_window_payloads(
-            trace,
-            variant,
-            windows,
-            config=config,
-            hierarchy_config=hierarchy_config,
-            max_cycles=max_cycles,
-            probes=probes,
-        )
-        return self._run_jobs(payloads, progress=progress, executor=executor)
-
-    def expand_trace_window_payloads(
-        self,
-        trace: Union[Trace, TraceSource],
-        variant: str,
-        windows: Sequence[Tuple[int, int, int]],
-        config: Optional[CoreConfig] = None,
-        hierarchy_config: Optional[HierarchyConfig] = None,
-        max_cycles: Optional[int] = None,
-        probes: Sequence[str] = (),
-    ) -> List[Dict[str, Any]]:
-        """Expand trace windows into engine job payloads without running them."""
-        VARIANT_REGISTRY.get(variant)
-        for name in probes:
-            PROBE_REGISTRY.get(name)
-        source_obj = as_source(trace)
-        if isinstance(source_obj, FileTraceSource):
-            _, source = self._file_source(source_obj, {})
-            trace_payload: Optional[Union[Trace, TraceSource]] = None
-        else:
-            source = {"kind": "trace", "name": source_obj.name}
+        if job.trace is None:
+            descriptor = {
+                "kind": "workload",
+                "name": job.workload,
+                "num_uops": job.num_uops,
+                "token": _workload_token(WORKLOAD_REGISTRY.get(job.workload)),
+            }
+            return job.workload, descriptor, None
+        source = as_source(job.trace)
+        if isinstance(source, FileTraceSource):
+            # Workers reopen the file by path instead of unpickling micro-ops.
+            descriptor = {"kind": "file", "name": source.name, "path": str(source.path)}
             if self.cache is not None:
-                # _trace_digest only iterates micro-ops, which any source does.
-                source["digest"] = _trace_digest(source_obj)
-            trace_payload = trace if isinstance(trace, Trace) else source_obj
-        total = source_obj.length
-        payloads = []
-        for start, end, warmup in windows:
-            window: Optional[Tuple[int, int]] = (start, end)
-            if start == 0 and warmup == 0 and total is not None and end >= total:
-                window = None  # whole trace: identical to an un-windowed job
-            payloads.append(
-                _job_payload(
-                    benchmark=source_obj.name,
-                    variant=variant,
-                    source=source,
-                    trace=trace_payload,
-                    config=config if config is not None else self.config,
-                    hierarchy_config=(
-                        hierarchy_config
-                        if hierarchy_config is not None
-                        else self.hierarchy_config
-                    ),
-                    max_cycles=max_cycles,
-                    probes=probes,
-                    window=window,
-                    warmup_uops=0 if window is None else warmup,
-                )
-            )
-        return payloads
-
-    def run_workloads(
-        self,
-        workloads: Sequence[str],
-        variants: Sequence[str] = (),
-        num_uops: Optional[int] = None,
-        max_cycles: Optional[int] = None,
-        probes: Sequence[str] = (),
-    ) -> ComparisonResult:
-        """Run registered workloads by name on every variant."""
-        sweep = self.run_sweep(
-            SweepSpec(
-                workloads=list(workloads),
-                variants=list(variants),
-                num_uops=num_uops,
-                max_cycles=max_cycles,
-                probes=list(probes),
-            )
-        )
-        return sweep.comparison
+                descriptor["digest"] = source.digest()
+        else:
+            descriptor = {"kind": "trace", "name": source.name}
+            if self.cache is not None:
+                descriptor["digest"] = _trace_digest(source)
+        return source.name, descriptor, source.length
 
     # ------------------------------------------------------------ execution
 
-    def _run_jobs(
-        self, payloads: List[Dict[str, Any]], progress=None, executor=None
+    def run_jobs(
+        self, jobs: Sequence[JobSpec], progress=None, executor=None
     ) -> List[SimulationResult]:
-        """Run jobs in their given order; cache first, then pool or serial.
+        """Expand ``jobs`` and run them in order; cache first, then pool or serial.
 
-        ``progress`` (optional) is called as ``progress(done, total, kind)``
-        with ``kind`` in ``{"cached", "simulated"}`` after every resolved
-        cell — the service streams these as job events.  Simulated cells are
-        written to the cache *as they complete* (not after the whole batch),
-        so a killed run resumes from every cell that finished.  A ``progress``
-        callback may raise :class:`~repro.errors.JobCancelled` to abort the
-        run between cells; outstanding pool work is then cancelled.
+        Results come back in job order and ``last_run_stats`` accounts for
+        the whole batch.  ``progress`` (optional) is called as
+        ``progress(done, total, kind)`` with ``kind`` in
+        ``{"cached", "simulated"}`` after every resolved cell — the service
+        streams these as job events.  Simulated cells are written to the
+        cache *as they complete* (not after the whole batch), so a killed run
+        resumes from every cell that finished.  A ``progress`` callback may
+        raise :class:`~repro.errors.JobCancelled` to abort the run between
+        cells; outstanding pool work is then cancelled.
 
         ``executor`` (optional) is the cell-batch execution seam: a callable
         ``executor(payloads, on_result)`` that replaces the pool/serial path
@@ -1046,6 +870,7 @@ class ExperimentEngine:
         order); cache writes and progress accounting stay on this side, so a
         distributed run is cache-accounted identically to a local one.
         """
+        payloads = self.expand_job_payloads(jobs)
         stats = EngineRunStats(total_jobs=len(payloads))
         outputs: List[Optional[Dict[str, Any]]] = [None] * len(payloads)
         pending: List[int] = []
@@ -1097,7 +922,7 @@ class ExperimentEngine:
         of ``ProcessPoolExecutor``'s shutdown machinery with workers leaked.
 
         With ``executor`` set, the whole pending batch is handed to it
-        instead (see :meth:`_run_jobs`); the executor owns scheduling,
+        instead (see :meth:`run_jobs`); the executor owns scheduling,
         retries, and fallback, and delivers results through ``on_result``.
         """
         if executor is not None:
@@ -1197,4 +1022,5 @@ __all__ = [
     "SweepSpec",
     "execute_cell_payload",
     "job_cache_key",
+    "sweep_jobs",
 ]

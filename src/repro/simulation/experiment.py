@@ -194,7 +194,12 @@ def run_comparison(
     (registry names) attach instrumentation to every cell; reports appear in
     each result's ``probe_reports``.
     """
-    from repro.simulation.engine import ExperimentEngine
+    from repro.simulation.engine import (
+        ExperimentEngine,
+        JobSpec,
+        assemble_comparison,
+        resolve_variants,
+    )
 
     engine = ExperimentEngine(
         workers=workers,
@@ -202,4 +207,13 @@ def run_comparison(
         config=config,
         hierarchy_config=hierarchy_config,
     )
-    return engine.run_traces(traces, variants=variants, max_cycles=max_cycles, probes=probes)
+    traces = list(traces)
+    variant_list = resolve_variants(variants)
+    jobs = [
+        JobSpec(trace=trace, variant=variant, max_cycles=max_cycles, probes=list(probes))
+        for trace in traces
+        for variant in variant_list
+    ]
+    return assemble_comparison(
+        [trace.name for trace in traces], variant_list, engine.run_jobs(jobs)
+    )

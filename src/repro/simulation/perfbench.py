@@ -209,6 +209,7 @@ def run_sharded_bench(
     import tempfile
 
     from repro.registry import build_workload_source  # local: avoids import cycles
+    from repro.simulation.engine import ExperimentEngine
     from repro.simulation.shard import run_sharded
     from repro.workloads.source import FileTraceSource, write_trace_file
 
@@ -229,7 +230,7 @@ def run_sharded_bench(
                 variant=variant,
                 shards=shards,
                 warmup_uops=warmup_uops,
-                workers=workers,
+                engine=ExperimentEngine(workers=workers),
             )
             elapsed = time.perf_counter() - start
             if best is None or elapsed < best:

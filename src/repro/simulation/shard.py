@@ -2,11 +2,11 @@
 
 A full-detail replay of a long recorded trace is embarrassingly serial — one
 core model, one commit stream.  This module trades a little accuracy for
-wall-clock: it splits the trace into ``N`` contiguous shards, runs each shard
-as an independent :class:`~repro.workloads.source.WindowedSource` job through
-the :class:`~repro.simulation.engine.ExperimentEngine` (process pool + result
-cache), and combines the per-shard statistics into whole-trace estimates with
-the same weighting rule the SimPoint path uses
+wall-clock: it splits the trace into ``N`` contiguous shards, expands them
+into windowed engine jobs (:func:`shard_jobs`), runs those through
+:meth:`~repro.simulation.engine.ExperimentEngine.run_jobs` (process pool +
+result cache), and combines the per-shard statistics into whole-trace
+estimates with the same weighting rule the SimPoint path uses
 (:func:`~repro.simulation.simulator._weighted_core_stats`).
 
 Each shard after the first starts from a cold core, which is not how those
@@ -31,7 +31,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.memory.hierarchy import HierarchyConfig
 from repro.serde import JSONSerializable
-from repro.simulation.engine import ExperimentEngine
+from repro.simulation.engine import ExperimentEngine, JobSpec
 from repro.simulation.simulator import (
     SimulationResult,
     _weighted_core_stats,
@@ -181,6 +181,38 @@ class ShardedRunResult(JSONSerializable):
         )
 
 
+def shard_jobs(
+    source: Union[Trace, TraceSource],
+    plan: ShardPlan,
+    variant: str,
+    *,
+    config: Optional[CoreConfig] = None,
+    hierarchy_config: Optional[HierarchyConfig] = None,
+    max_cycles: Optional[int] = None,
+    probes: Sequence[str] = (),
+) -> List[JobSpec]:
+    """One windowed engine job per shard of ``plan``, in shard order.
+
+    The spec-to-job adapter shared by :func:`run_sharded` and the experiment
+    service's replay documents.  The engine's expander drops the window of
+    the exact plan's single whole-trace shard, so that job shares its cache
+    entry with a plain replay of ``source``.
+    """
+    return [
+        JobSpec(
+            variant=variant,
+            trace=source,
+            config=config,
+            hierarchy_config=hierarchy_config,
+            max_cycles=max_cycles,
+            probes=list(probes),
+            window=(shard.start, shard.end),
+            warmup_uops=shard.warmup_uops,
+        )
+        for shard in plan.shards
+    ]
+
+
 def run_sharded(
     trace: Union[Trace, TraceSource],
     variant: str = "pre",
@@ -188,8 +220,6 @@ def run_sharded(
     warmup_uops: int = 0,
     *,
     engine: Optional[ExperimentEngine] = None,
-    workers: int = 1,
-    cache_dir: Optional[str] = None,
     config: Optional[CoreConfig] = None,
     hierarchy_config: Optional[HierarchyConfig] = None,
     max_cycles: Optional[int] = None,
@@ -203,46 +233,29 @@ def run_sharded(
     in-memory traces know theirs; an unbounded generator source is
     materialised first (at which point sharding it is pointless but legal).
     ``probes`` must be registry names — every shard gets fresh instances, and
-    windowed jobs cross the engine's process/serde boundary.
+    windowed jobs cross the engine's process/serde boundary.  ``engine``
+    (default: a serial, uncached one) supplies workers and the result cache.
 
     ``shards=1`` with ``warmup_uops=0`` is the exact path: the single window
     is normalised to an un-windowed job (same cache key as a plain replay)
     and its statistics are returned as-is, skipping the weighted stitch and
     its float round-off entirely.
     """
-    for probe in probes:
-        if not isinstance(probe, str):
-            raise TypeError(
-                "run_sharded accepts probe registry names only (got "
-                f"{type(probe).__name__}): shard jobs cross a process "
-                "boundary and each shard needs fresh probe instances"
-            )
     source = as_source(trace)
-    total = source.length
-    if total is None:
+    if source.length is None:
         source = source.materialized()
-        total = source.length
-    plan = plan_shards(total, shards, warmup_uops)
-    if engine is None:
-        engine = ExperimentEngine(
-            workers=workers,
-            cache_dir=cache_dir,
-            config=config,
-            hierarchy_config=hierarchy_config,
-        )
-    results = engine.run_trace_windows(
+    plan = plan_shards(source.length, shards, warmup_uops)
+    jobs = shard_jobs(
         source,
-        variant=variant,
-        windows=[
-            (shard.start, shard.end, shard.warmup_uops) for shard in plan.shards
-        ],
+        plan,
+        variant,
         config=config,
         hierarchy_config=hierarchy_config,
         max_cycles=max_cycles,
-        probes=list(probes),
-        progress=progress,
-        executor=executor,
+        probes=probes,
     )
+    engine = engine or ExperimentEngine()
+    results = engine.run_jobs(jobs, progress=progress, executor=executor)
     weights = plan.weights()
     shard_results = [
         ShardResult(shard=shard, weight=weight, result=result)
@@ -276,8 +289,8 @@ class ReplaySpec(JSONSerializable):
     """A serde-round-trippable description of one sharded trace replay.
 
     The spec-to-job adapter for the experiment service: a submitted
-    ``{"kind": "replay"}`` document parses into this, expands into engine
-    window payloads (for admission-time cache dedupe) and executes via
+    ``{"kind": "replay"}`` document parses into this, expands into
+    :func:`shard_jobs` (for admission-time cache dedupe) and executes via
     :func:`run_replay_spec` — the same path ``trace replay --shards`` takes,
     minus the CLI.  ``trace_file`` must be a recorded trace path readable by
     the server; its *content digest* (not the path) keys the cache.
@@ -303,13 +316,6 @@ class ReplaySpec(JSONSerializable):
         """The shard plan this spec implies for a trace of ``total_uops``."""
         self.validate()
         return plan_shards(total_uops, self.shards, self.warmup_uops)
-
-    def windows(self, total_uops: int) -> List[Tuple[int, int, int]]:
-        """``(start, end, warmup)`` triples for the engine's window API."""
-        return [
-            (shard.start, shard.end, shard.warmup_uops)
-            for shard in self.plan(total_uops).shards
-        ]
 
 
 def run_replay_spec(
@@ -344,4 +350,5 @@ __all__ = [
     "plan_shards",
     "run_replay_spec",
     "run_sharded",
+    "shard_jobs",
 ]

@@ -14,8 +14,8 @@ lazily.  Instrumentation probes (registry names or
 findings land in :attr:`SimulationResult.probe_reports`.
 
 :func:`run_simpoints` is the SimPoint execution path the paper's methodology
-implies: cluster a workload's intervals, simulate only the representative
-windows, and report weighted whole-trace statistics.
+implies: cluster a workload's intervals, run only the representative windows
+as engine jobs, and report weighted whole-trace statistics.
 """
 
 from __future__ import annotations
@@ -383,82 +383,54 @@ def run_simpoints(
     variant: str = "pre",
     config: Optional[CoreConfig] = None,
     hierarchy_config: Optional[HierarchyConfig] = None,
-    energy_model: Optional[EnergyModel] = None,
     max_cycles: Optional[int] = None,
-    probes: Optional[Sequence[ProbeLike]] = None,
+    probes: Optional[Sequence[str]] = None,
     interval_size: int = 2_000,
     max_clusters: int = 4,
     seed: int = 0,
-    workers: int = 1,
-    cache_dir: Optional[str] = None,
     engine: Optional[Any] = None,
 ) -> SimPointRunResult:
     """Simulate only a workload's representative SimPoint intervals.
 
     The sampler clusters fixed-size intervals in one streaming pass (no
-    materialisation), each representative interval runs as a
-    :class:`~repro.workloads.source.WindowedSource`, and the per-interval
+    materialisation), each representative interval runs as a windowed
+    :class:`~repro.simulation.engine.JobSpec`, and the per-interval
     statistics are combined with the clusters' weights into whole-trace
     estimates — strictly fewer micro-ops simulated than a full run, one
     weighted answer out.
 
-    Interval runs go through the
-    :class:`~repro.simulation.engine.ExperimentEngine` window path: pass
-    ``workers``/``cache_dir`` (or a ready-made ``engine``) and intervals run
-    on the process pool and land in the shared
-    :class:`~repro.simulation.engine.ResultCache` — a repeated SimPoint run
-    re-simulates nothing.  A custom ``energy_model`` cannot cross the
-    engine's process/serde boundary, so that case runs the windows serially
-    in-process (the original path, identical results).
+    Interval jobs run through ``engine`` (default: a serial, uncached
+    :class:`~repro.simulation.engine.ExperimentEngine`): pass one with
+    workers and a cache directory and intervals run on the process pool and
+    land in the shared :class:`~repro.simulation.engine.ResultCache` — a
+    repeated SimPoint run re-simulates nothing.
 
     ``probes`` must be registry *names*: each interval gets fresh probe
     instances, so per-interval ``probe_reports`` never accumulate state
     across windows.  (A shared ``Probe`` instance would silently sum all
-    intervals into the later reports, so instances are rejected.)
+    intervals into the later reports, so the engine rejects instances.)
     """
-    for probe in probes or ():
-        if not isinstance(probe, str):
-            raise TypeError(
-                "run_simpoints accepts probe registry names only (got "
-                f"{type(probe).__name__}): a shared Probe instance would "
-                "accumulate state across interval runs"
-            )
+    # Local import: engine.py imports this module at load time.
+    from repro.simulation.engine import ExperimentEngine, JobSpec
+
     source = as_source(trace)
     sampler = SimPointSampler(
         interval_size=interval_size, max_clusters=max_clusters, seed=seed
     )
     intervals, total_uops = sampler.select_source(source)
-    if energy_model is not None and engine is None:
-        request = SimulationRequest(
+    jobs = [
+        JobSpec(
             variant=variant,
+            trace=source,
             config=config,
             hierarchy_config=hierarchy_config,
             max_cycles=max_cycles,
             probes=list(probes or ()),
+            window=(interval.start, interval.end),
         )
-        results = [
-            run_simulation(
-                source.window(interval.start, interval.end, name=source.name),
-                request,
-                energy_model=energy_model,
-            )
-            for interval in intervals
-        ]
-    else:
-        if engine is None:
-            # Local import: engine.py imports this module at load time.
-            from repro.simulation.engine import ExperimentEngine
-
-            engine = ExperimentEngine(workers=workers, cache_dir=cache_dir)
-        results = engine.run_trace_windows(
-            source,
-            variant=variant,
-            windows=[(interval.start, interval.end, 0) for interval in intervals],
-            config=config,
-            hierarchy_config=hierarchy_config,
-            max_cycles=max_cycles,
-            probes=list(probes or ()),
-        )
+        for interval in intervals
+    ]
+    results = (engine or ExperimentEngine()).run_jobs(jobs)
     interval_results = [
         SimPointIntervalResult(
             start=interval.start,

@@ -7,6 +7,7 @@ import pytest
 from repro.registry import WORKLOAD_REGISTRY, register_workload
 from repro.simulation.engine import (
     ExperimentEngine,
+    JobSpec,
     ResultCache,
     SweepResult,
     SweepSpec,
@@ -109,9 +110,13 @@ class TestEngineExecution:
 
         try:
             engine = ExperimentEngine(workers=1)
-            comparison = engine.run_workloads(
-                ["test_engine_kernel"], variants=["ooo", "pre"], num_uops=300
-            )
+            comparison = engine.run_sweep(
+                SweepSpec(
+                    workloads=["test_engine_kernel"],
+                    variants=["ooo", "pre"],
+                    num_uops=300,
+                )
+            ).comparison
             assert comparison.benchmark("test_engine_kernel").baseline.stats.cycles > 0
         finally:
             WORKLOAD_REGISTRY.unregister("test_engine_kernel")
@@ -164,9 +169,11 @@ class TestResultCache:
     def test_trace_jobs_cached_by_content(self, tmp_path):
         trace = build_surrogate("milc", num_uops=300)
         engine = ExperimentEngine(workers=1, cache_dir=tmp_path)
-        engine.run_traces([trace], variants=["ooo"])
+        engine.run_jobs([JobSpec(trace=trace, variant="ooo")])
         assert engine.last_run_stats.simulated == 1
-        engine.run_traces([build_surrogate("milc", num_uops=300)], variants=["ooo"])
+        engine.run_jobs(
+            [JobSpec(trace=build_surrogate("milc", num_uops=300), variant="ooo")]
+        )
         assert engine.last_run_stats.cache_hits == 1
         assert engine.last_run_stats.simulated == 0
 

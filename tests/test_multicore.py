@@ -323,14 +323,20 @@ class TestEngineMulticoreJobs:
     def test_multicore_rejects_window_replay(self):
         from repro.simulation.engine import JobSpec
 
-        job = JobSpec(
+        multicore = MultiCoreSpec(cores=[CoreAssignment(workload="mcf")])
+        engine = ExperimentEngine(workers=1)
+        replay = JobSpec(
             variant="pre",
-            num_uops=200,
-            trace_file="/tmp/nope.trace.gz",
-            multicore=MultiCoreSpec(cores=[CoreAssignment(workload="mcf")]),
+            trace=build_workload("mcf", num_uops=200),
+            multicore=multicore,
         )
         with pytest.raises(ValueError, match="multicore"):
-            ExperimentEngine(workers=1).expand_job_payloads([job])
+            engine.expand_job_payloads([replay])
+        windowed = JobSpec(
+            workload="mcf", variant="pre", window=(0, 100), multicore=multicore
+        )
+        with pytest.raises(ValueError, match="multicore"):
+            engine.expand_job_payloads([windowed])
 
 
 # ----------------------------------------------------- 6. study integration

@@ -183,6 +183,38 @@ def test_bad_document_is_http_400(service):
     assert client.jobs()["jobs"] == []
 
 
+UNEXPANDABLE_DOCS = {
+    "unknown-config-field": {
+        "kind": "sweep",
+        "spec": {"workloads": ["mcf"], "configs": [{"rob_sz": 3}]},
+    },
+    "negative-config-value": {
+        "kind": "sweep",
+        "spec": {"workloads": ["mcf"], "configs": [{"rob_size": -3}]},
+    },
+    "empty-co-runner": {
+        "kind": "sweep",
+        "spec": {
+            "workloads": ["mcf"],
+            "multicore": {"cores": [{"workload": "mcf", "num_uops": 0}]},
+        },
+    },
+    "empty-sweep": {"kind": "sweep", "spec": {"workloads": ["mcf"], "num_uops": 0}},
+    "empty-study": {"kind": "study", "study": "rob-scaling", "num_uops": 0},
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNEXPANDABLE_DOCS))
+def test_unexpandable_document_is_http_400(service, name):
+    # These parse, but their cells cannot expand: still a bad document, so a
+    # 400 at admission (not a 500, and not an admitted job of empty traces).
+    client = ServiceClient(service.base_url)
+    with pytest.raises(ServiceError) as excinfo:
+        client.submit(UNEXPANDABLE_DOCS[name])
+    assert excinfo.value.status == 400
+    assert client.jobs()["jobs"] == []
+
+
 def test_unknown_job_and_route_are_404(service):
     client = ServiceClient(service.base_url)
     with pytest.raises(ServiceError) as excinfo:

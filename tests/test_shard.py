@@ -27,7 +27,7 @@ from repro.simulation.shard import (
 )
 from repro.simulation.simulator import SimulationRequest, run_simpoints, run_simulation
 from repro.workloads.generators import strided_stream
-from repro.workloads.source import GeneratorSource
+from repro.workloads.source import FileTraceSource, GeneratorSource, write_trace_file
 
 
 class TestPlanShards:
@@ -96,14 +96,19 @@ class TestExactPath:
         assert stats_digest(sharded.stitched_stats) == stats_digest(base.stats)
         assert sharded.stitched_stats == base.stats
 
-    def test_shares_cache_entry_with_plain_replay(self, tmp_path):
+    @pytest.mark.parametrize("origin", ["in-memory", "recorded"])
+    def test_shares_cache_entry_with_plain_replay(self, tmp_path, origin):
         trace = build_workload("milc", num_uops=1_500)
+        if origin == "recorded":
+            path = tmp_path / "milc.trc"
+            write_trace_file(path, trace, name="milc")
+            trace = FileTraceSource(path)
         engine = ExperimentEngine(cache_dir=str(tmp_path / "cache"))
         run_sharded(trace, variant="ooo", shards=1, engine=engine)
         assert engine.last_run_stats.simulated == 1
-        # The same trace through the ordinary trace path: full cache hit,
+        # The same trace as a plain (un-windowed) job: full cache hit,
         # because the whole-trace window was normalised away.
-        engine.run_traces([trace], variants=["ooo"])
+        engine.run_jobs([JobSpec(trace=trace, variant="ooo")])
         assert engine.last_run_stats.simulated == 0
         assert engine.last_run_stats.cache_hits == 1
 
@@ -179,8 +184,38 @@ class TestEngineWindows:
             engine.run_jobs([JobSpec(workload="", variant="ooo")])
         with pytest.raises(ValueError, match="exactly one"):
             engine.run_jobs(
-                [JobSpec(workload="mcf", trace_file="x.trc", variant="ooo")]
+                [
+                    JobSpec(
+                        workload="mcf",
+                        trace=build_workload("mcf", num_uops=100),
+                        variant="ooo",
+                    )
+                ]
             )
+
+    @pytest.mark.parametrize(
+        "job, message",
+        [
+            (
+                JobSpec(workload="milc", window=(100, 300), warmup_uops=-20),
+                "warmup_uops must be >= 0",
+            ),
+            (JobSpec(workload="mcf", num_uops=0), "num_uops must be positive"),
+            (JobSpec(workload="mcf", num_uops=-5), "num_uops must be positive"),
+        ],
+    )
+    def test_bad_jobs_rejected_at_expansion(self, job, message):
+        # Rejected before a cache key exists, not mid-run in a worker.
+        with pytest.raises(ValueError, match=message):
+            ExperimentEngine().expand_job_payloads([job])
+
+    def test_variant_jobs_of_one_trace_share_a_batch(self):
+        trace = build_workload("mcf", num_uops=400)
+        payloads = ExperimentEngine().expand_job_payloads(
+            [JobSpec(trace=trace, variant=variant) for variant in ("ooo", "pre")]
+        )
+        assert all(payload["trace"] is trace for payload in payloads)
+        assert len(ExperimentEngine._batch_payloads(payloads)) == 1
 
     def test_windowed_jobs_never_batch_together(self):
         trace = build_workload("mcf", num_uops=400)

@@ -272,3 +272,8 @@ class TestStudyCLI:
     def test_unknown_study_is_a_clean_error(self, capsys):
         assert main(["study", "run", "warp-drive"]) == 2
         assert "unknown study" in capsys.readouterr().err
+
+    def test_non_positive_uops_is_a_clean_error(self, capsys):
+        code = main(["study", "run", "rob-scaling", "--uops", "0", "--workloads", "mcf"])
+        assert code == 2
+        assert "num_uops must be positive" in capsys.readouterr().err

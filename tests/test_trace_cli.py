@@ -4,7 +4,7 @@ import json
 
 from repro.__main__ import main
 from repro.registry import build_workload
-from repro.simulation.engine import ExperimentEngine
+from repro.simulation.engine import ExperimentEngine, JobSpec
 from repro.simulation.simulator import SimulationRequest, run_simulation
 from repro.workloads.source import FileTraceSource, write_trace_file
 
@@ -17,6 +17,13 @@ def record(tmp_path, workload="milc", uops=600, name=None, filename="t.trc"):
         argv += ["--name", name]
     assert main(argv) == 0
     return path
+
+
+def replay(engine, path):
+    """Replay a recorded file on ooo and pre; the results as dicts."""
+    source = FileTraceSource(path)
+    jobs = [JobSpec(trace=source, variant=variant) for variant in ("ooo", "pre")]
+    return [result.to_dict() for result in engine.run_jobs(jobs)]
 
 
 class TestRecordInfo:
@@ -78,38 +85,38 @@ class TestContentKeyedCache:
         write_trace_file(path, build_workload("milc", num_uops=600), name="bench")
 
         engine = ExperimentEngine(cache_dir=cache)
-        first = engine.run_trace_files([path], variants=["pre"])
+        first = replay(engine, path)
         assert engine.last_run_stats.simulated == 2  # ooo + pre
 
         # Identical file -> full cache hit.
         engine = ExperimentEngine(cache_dir=cache)
-        cached = engine.run_trace_files([path], variants=["pre"])
+        cached = replay(engine, path)
         assert engine.last_run_stats.simulated == 0
         assert engine.last_run_stats.cache_hits == 2
-        assert cached.to_dict() == first.to_dict()
+        assert cached == first
 
         # Re-record different content under the SAME name and path: the
         # content digest changes, so nothing stale is served.
         write_trace_file(path, build_workload("mcf", num_uops=600), name="bench")
         engine = ExperimentEngine(cache_dir=cache)
-        replayed = engine.run_trace_files([path], variants=["pre"])
+        replayed = replay(engine, path)
         assert engine.last_run_stats.simulated == 2
         assert engine.last_run_stats.cache_hits == 0
-        assert replayed.to_dict() != first.to_dict()
+        assert replayed != first
 
     def test_identical_content_hits_cache_from_a_different_path(self, tmp_path):
         first = tmp_path / "a.trc"
         cache = tmp_path / "cache"
         write_trace_file(first, build_workload("milc", num_uops=500), name="bench")
         engine = ExperimentEngine(cache_dir=cache)
-        engine.run_trace_files([first], variants=["pre"])
+        replay(engine, first)
         assert engine.last_run_stats.simulated == 2
 
         moved = tmp_path / "subdir" / "b.trc"
         moved.parent.mkdir()
         moved.write_bytes(first.read_bytes())
         engine = ExperimentEngine(cache_dir=cache)
-        engine.run_trace_files([moved], variants=["pre"])
+        replay(engine, moved)
         # Content keying: same bytes at a new path is a full cache hit.
         assert engine.last_run_stats.simulated == 0
         assert engine.last_run_stats.cache_hits == 2
