@@ -99,6 +99,7 @@ from repro.simulation.engine import (
     assemble_comparison,
     resolve_variants,
 )
+from repro.serde import write_json
 from repro.simulation.golden import DEFAULT_GOLDEN_WORKLOADS
 from repro.workloads.source import (
     FileTraceSource,
@@ -241,8 +242,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     _print_comparison(result.comparison, args.figure)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(result.to_dict(), handle)
+        write_json(args.output, result.to_dict())
         print(f"\nfull sweep result written to {args.output}", file=sys.stderr)
     return EXIT_OK
 
@@ -322,8 +322,7 @@ def _cmd_trace_replay(args: argparse.Namespace) -> int:
     )
     _print_comparison(comparison, args.figure)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(comparison.to_dict(), handle)
+        write_json(args.output, comparison.to_dict())
         print(f"\nfull comparison written to {args.output}", file=sys.stderr)
     return EXIT_OK
 
@@ -381,8 +380,7 @@ def _trace_replay_sharded(args: argparse.Namespace, variants: List[str]) -> int:
         file=sys.stderr,
     )
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(output, handle)
+        write_json(args.output, output)
         print(f"\nsharded results written to {args.output}", file=sys.stderr)
     return EXIT_OK
 
@@ -548,8 +546,7 @@ def _cmd_study_run(args: argparse.Namespace) -> int:
     )
     print(format_study_markdown(result))
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(result.to_dict(), handle)
+        write_json(args.output, result.to_dict())
         print(f"\nfull study result written to {args.output}", file=sys.stderr)
     if args.csv:
         write_study_csv(result, args.csv)
@@ -660,8 +657,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     )
     if args.output:
         result = client.result(final["id"])
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(result["result"], handle)
+        write_json(args.output, result["result"])
         print(f"result document written to {args.output}", file=sys.stderr)
     return EXIT_OK
 

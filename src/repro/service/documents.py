@@ -11,11 +11,12 @@ spec schema and execution path:
 * ``replay`` — a :class:`~repro.simulation.shard.ReplaySpec` (sharded
   single-trace replay with warmup-aware stitching).
 
-Specs parse **strictly** (unknown fields are a 400, not silently dropped) and
-validate registry names up front, so a malformed document is rejected at
-admission — before it occupies a queue slot.  A parsed document can expand
-itself into engine payloads *without running them*, which is how the server
-reports cache-dedupe accounting in the admission response.
+Specs parse **strictly** (unknown fields and wrongly typed values are a 400,
+not silently dropped or coerced) and validate registry names up front, so a
+malformed document is rejected at admission — before it occupies a queue
+slot.  A parsed document can expand itself into engine payloads *without
+running them*, which is how the server reports cache-dedupe accounting in
+the admission response.
 """
 
 from __future__ import annotations
@@ -128,9 +129,9 @@ def parse_document(data: Any) -> ParsedDocument:
 
     Every rejection raises :class:`~repro.errors.BadSpecError` with a
     client-facing message — the server maps it to HTTP 400, the CLI to exit
-    code 2.  Validation covers JSON shape, unknown spec fields (strict
-    serde), registry names, shard-plan bounds, and — for replays — that the
-    trace file exists and has a readable header.
+    code 2.  Validation covers JSON shape, unknown spec fields and wrongly
+    typed values (strict serde), registry names, shard-plan bounds, and —
+    for replays — that the trace file exists and has a readable header.
     """
     if not isinstance(data, dict):
         raise BadSpecError(
@@ -183,20 +184,23 @@ def _parse_spec(kind: str, data: Dict[str, Any]) -> Any:
 
 
 def _build_named_study(data: Dict[str, Any]) -> StudySpec:
-    """The ``{"kind": "study", "study": NAME, ...}`` shorthand."""
-    allowed = {"kind", "study", "num_uops", "workloads", "variants"}
+    """The ``{"kind": "study", "study": NAME, ...}`` shorthand.
+
+    The narrowing keys override the registered spec's fields through the
+    strict decoder, exactly as if the full spec had been submitted, so a
+    mistyped value is rejected here rather than when the job runs.
+    """
+    narrowing = ("num_uops", "workloads", "variants")
+    allowed = {"kind", "study", *narrowing}
     unknown = sorted(set(data) - allowed)
     if unknown:
         raise BadSpecError(
             f"unexpected key(s) {', '.join(map(repr, unknown))} in named-study "
             f"document; allowed: {', '.join(sorted(allowed - {'kind'}))}"
         )
-    return build_study(
-        data["study"],
-        num_uops=data.get("num_uops"),
-        workloads=data.get("workloads"),
-        variants=data.get("variants"),
-    )
+    spec = build_study(data["study"]).to_dict()
+    spec.update({key: data[key] for key in narrowing if data.get(key) is not None})
+    return StudySpec.from_dict(spec, strict=True)
 
 
 def _validate(kind: str, spec: Any) -> None:

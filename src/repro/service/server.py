@@ -35,10 +35,8 @@ from __future__ import annotations
 
 import asyncio
 import json
-import os
 import signal
 import sys
-import tempfile
 import threading
 import traceback
 from concurrent.futures import ThreadPoolExecutor
@@ -52,6 +50,7 @@ from repro.errors import (
     BadSpecError,
     JobCancelled,
 )
+from repro.serde import write_json
 from repro.service.documents import ParsedDocument, parse_document
 from repro.service.fleet import (
     DEFAULT_LEASE_TTL,
@@ -274,7 +273,7 @@ class ExperimentService:
             try:
                 if kind == "ok":
                     _, result_doc, accounting, _ = outcome
-                    self._write_result(job_id, result_doc)
+                    write_json(self._result_path(job_id), result_doc)
                     job.record.accounting = accounting
                     job.record.state = "done"
                     self.journal.append(
@@ -292,7 +291,7 @@ class ExperimentService:
                     self._fail_job(job, outcome)
             except asyncio.CancelledError:
                 raise
-            except BaseException as exc:  # noqa: BLE001 — e.g. _write_result OSError
+            except BaseException as exc:  # noqa: BLE001 — e.g. a result-write OSError
                 self._fail_job(
                     job,
                     ("failed", 500, f"{type(exc).__name__}: {exc}",
@@ -361,22 +360,9 @@ class ExperimentService:
             )
         return ("ok", result_doc, counts, None)
 
-    def _write_result(self, job_id: str, result_doc: Dict[str, Any]) -> None:
-        """Persist a finished job's result document atomically."""
-        path = self.results_dir / f"{job_id}.json"
-        fd, tmp_name = tempfile.mkstemp(
-            dir=str(self.results_dir), prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(result_doc, handle)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+    def _result_path(self, job_id: str) -> Path:
+        """The file holding a finished job's result document."""
+        return self.results_dir / f"{job_id}.json"
 
     # -------------------------------------------------------------- events
 
@@ -519,7 +505,10 @@ class ExperimentService:
         if delay:
             await asyncio.sleep(delay)
         try:
-            body = json.dumps(payload).encode()
+            if isinstance(payload, bytes):
+                body = payload
+            else:
+                body = json.dumps(payload).encode()
             lines = [
                 f"HTTP/1.1 {status} {_HTTP_REASONS.get(status, 'Unknown')}",
                 "Content-Type: application/json",
@@ -583,7 +572,7 @@ class ExperimentService:
 
     async def _dispatch(
         self, method: str, path: str, query: Dict[str, List[str]], body: Any
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
+    ) -> Tuple[int, Union[Dict[str, Any], bytes], Dict[str, str]]:
         if path == "/v1/jobs":
             if method == "POST":
                 return await self._admit(body)
@@ -689,7 +678,12 @@ class ExperimentService:
 
     async def _dispatch_job(
         self, method: str, path: str, query: Dict[str, List[str]]
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
+    ) -> Tuple[int, Union[Dict[str, Any], bytes], Dict[str, str]]:
+        """``/v1/jobs/<id>[/events|/result]``.
+
+        A result response is the stored result document spliced, as bytes,
+        into the ``{"id", "kind", "accounting"}`` envelope.
+        """
         parts = path.split("/")  # ['', 'v1', 'jobs', '<id>', maybe more]
         job = self.jobs.get(parts[3])
         if job is None:
@@ -733,26 +727,34 @@ class ExperimentService:
                     404, f"job {job.record.id} is {job.record.state}, not done"
                 )
             assert self._loop is not None
-            path_obj = self.results_dir / f"{job.record.id}.json"
             try:
-                result_doc = await self._loop.run_in_executor(
-                    None, lambda: json.loads(path_obj.read_text(encoding="utf-8"))
+                stored = await self._loop.run_in_executor(
+                    None, _read_stored_json, self._result_path(job.record.id)
                 )
             except (OSError, ValueError):
                 raise _HttpError(
                     500, f"result document for {job.record.id} is missing/corrupt"
                 )
-            return (
-                200,
+            envelope = json.dumps(
                 {
                     "id": job.record.id,
                     "kind": job.record.document.get("kind"),
                     "accounting": job.record.accounting,
-                    "result": result_doc,
-                },
-                {},
+                }
             )
+            # The stored bytes are already json.dumps output, so splicing them
+            # in as the last member gives the same body as encoding the whole
+            # envelope, without decoding and re-encoding the result.
+            body = envelope[:-1].encode() + b', "result": ' + stored + b"}"
+            return 200, body, {}
         raise _HttpError(404, f"no route for {path!r}")
+
+
+def _read_stored_json(path: Path) -> bytes:
+    """A stored JSON document's bytes, after checking that they decode."""
+    raw = path.read_bytes()
+    json.loads(raw)
+    return raw
 
 
 class _HttpError(Exception):

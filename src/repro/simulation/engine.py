@@ -32,7 +32,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -43,7 +42,7 @@ import repro.workloads  # noqa: F401  (imported for its workload registrations)
 from repro.errors import JobCancelled
 from repro.memory.hierarchy import HierarchyConfig
 from repro.registry import PROBE_REGISTRY, VARIANT_REGISTRY, WORKLOAD_REGISTRY, build_workload
-from repro.serde import JSONSerializable, canonical_json
+from repro.serde import JSONSerializable, canonical_json, write_json
 from repro.simulation.experiment import BenchmarkResult, ComparisonResult
 from repro.simulation.multicore import MultiCoreSpec, run_multicore
 from repro.simulation.simulator import (
@@ -590,20 +589,7 @@ class ResultCache:
 
     def put(self, key: str, payload: Dict[str, Any]) -> None:
         """Store ``payload`` under ``key`` atomically."""
-        path = self.path_for(key)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=str(self.directory), prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        write_json(self.path_for(key), payload)
         if self.max_bytes is not None:
             self.prune()
 
@@ -754,9 +740,9 @@ class ExperimentEngine:
         expanding without running lets a caller compute cache keys
         (:meth:`cache_probe`) before scheduling anything.  Unknown
         workload/variant/probe names, probe instances, non-positive
-        ``num_uops`` and malformed windows all fail here, before any worker
-        spawns.  Each distinct trace is described (and, with a cache,
-        digested) once per call.
+        ``num_uops`` or ``max_cycles`` and malformed windows all fail here,
+        before any worker spawns.  Each distinct trace is described (and,
+        with a cache, digested) once per call.
         """
         payloads: List[Dict[str, Any]] = []
         sources: Dict[Any, Tuple[str, Dict[str, Any], Optional[int]]] = {}
@@ -774,6 +760,8 @@ class ExperimentEngine:
                 raise ValueError("JobSpec needs exactly one of workload= or trace=")
             if job.num_uops is not None and job.num_uops <= 0:
                 raise ValueError(f"num_uops must be positive, got {job.num_uops}")
+            if job.max_cycles is not None and job.max_cycles <= 0:
+                raise ValueError(f"max_cycles must be positive, got {job.max_cycles}")
             if job.multicore is not None and job.trace is not None:
                 raise ValueError(
                     "multicore jobs need a workload= source (co-runner traces "

@@ -11,7 +11,7 @@ follow Sections 3.6 and 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict
 
 from repro.serde import JSONSerializable
@@ -88,8 +88,13 @@ class CoreConfig(JSONSerializable):
             )
 
     def with_overrides(self, **overrides: object) -> "CoreConfig":
-        """Return a copy of this configuration with some fields replaced."""
-        return replace(self, **overrides)
+        """Return a copy of this configuration with some fields replaced.
+
+        The merged fields go through the strict decoder of
+        :mod:`repro.serde`, so an unknown field or a wrongly typed value
+        (``rob_size=64.5``) raises :class:`ValueError`.
+        """
+        return type(self).from_dict({**self.to_dict(), **overrides}, strict=True)
 
     def summary(self) -> Dict[str, str]:
         """Return a Table 1-style summary of the configuration."""

@@ -234,3 +234,10 @@ class TestCLI:
         ])
         assert code == 0
         assert "speedup" in capsys.readouterr().out
+
+    def test_non_positive_max_cycles_is_a_clean_error(self, capsys):
+        from repro.__main__ import main
+
+        code = main(["sweep", "--benchmarks", "milc", "--max-cycles", "0"])
+        assert code == 2
+        assert "max_cycles must be positive" in capsys.readouterr().err

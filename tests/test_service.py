@@ -19,6 +19,8 @@ HTTP over a socket), so these tests cover the full contract:
 import json
 import threading
 import time
+from http.client import HTTPConnection
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -201,6 +203,21 @@ UNEXPANDABLE_DOCS = {
     },
     "empty-sweep": {"kind": "sweep", "spec": {"workloads": ["mcf"], "num_uops": 0}},
     "empty-study": {"kind": "study", "study": "rob-scaling", "num_uops": 0},
+    "zero-max-cycles": {
+        "kind": "sweep",
+        "spec": {"workloads": ["mcf"], "max_cycles": 0},
+    },
+    "negative-max-cycles-study": {
+        "kind": "study",
+        "spec": {
+            "name": "s",
+            "workloads": ["mcf"],
+            "max_cycles": -5,
+            "axes": [
+                {"name": "rob", "points": [{"label": "64", "core": {"rob_size": 64}}]}
+            ],
+        },
+    },
 }
 
 
@@ -213,6 +230,95 @@ def test_unexpandable_document_is_http_400(service, name):
         client.submit(UNEXPANDABLE_DOCS[name])
     assert excinfo.value.status == 400
     assert client.jobs()["jobs"] == []
+
+
+#: Sweep specs with a wrongly typed value, and the field the 400 must name.
+WRONGLY_TYPED_DOCS = {
+    "fractional-uops": (
+        {"workloads": ["mcf"], "num_uops": 100.5}, "SweepSpec.num_uops"
+    ),
+    "boolean-uops": ({"workloads": ["mcf"], "num_uops": True}, "SweepSpec.num_uops"),
+    "string-max-cycles": (
+        {"workloads": ["mcf"], "max_cycles": "x"}, "SweepSpec.max_cycles"
+    ),
+    "configs-object": (
+        {"workloads": ["mcf"], "configs": {"rob_size": 64}}, "SweepSpec.configs"
+    ),
+    "workloads-string": ({"workloads": "mcf"}, "SweepSpec.workloads"),
+    "fractional-rob": (
+        {"workloads": ["mcf"], "configs": [{"rob_size": 64.5}]}, "CoreConfig.rob_size"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONGLY_TYPED_DOCS))
+def test_wrongly_typed_document_is_http_400(service, name):
+    # Strict admission checks JSON types and shapes, not just field names:
+    # none of these may run (coerced), fail later with a 500, or be admitted.
+    spec, field = WRONGLY_TYPED_DOCS[name]
+    client = ServiceClient(service.base_url)
+    with pytest.raises(ServiceError) as excinfo:
+        client.submit({"kind": "sweep", "spec": spec})
+    assert excinfo.value.status == 400
+    assert field in excinfo.value.message
+    assert client.jobs()["jobs"] == []
+
+
+def test_named_study_narrowing_is_strictly_typed(service):
+    client = ServiceClient(service.base_url)
+    for doc in (
+        {"kind": "study", "study": "rob-scaling", "num_uops": 100.5},
+        {"kind": "study", "study": "rob-scaling", "workloads": "mcf"},
+    ):
+        with pytest.raises(ServiceError, match="StudySpec") as excinfo:
+            client.submit(doc)
+        assert excinfo.value.status == 400
+    assert client.jobs()["jobs"] == []
+
+
+def _raw_get(base_url, path):
+    """One GET, returning the status and the undecoded response body."""
+    parts = urlsplit(base_url)
+    connection = HTTPConnection(parts.hostname, parts.port, timeout=30)
+    try:
+        connection.request("GET", path)
+        response = connection.getresponse()
+        return response.status, response.read()
+    finally:
+        connection.close()
+
+
+def test_result_body_is_the_envelope_with_the_stored_document(service):
+    client = ServiceClient(service.base_url)
+    job_id = client.submit(SWEEP_DOC)["id"]
+    final, _ = wait_for(client, job_id)
+    status, body = _raw_get(service.base_url, f"/v1/jobs/{job_id}/result")
+    assert status == 200
+    stored = (service.service.results_dir / f"{job_id}.json").read_bytes()
+    envelope = {
+        "id": job_id,
+        "kind": "sweep",
+        "accounting": final["accounting"],
+        "result": json.loads(stored),
+    }
+    assert body == json.dumps(envelope).encode()
+
+
+def test_corrupt_or_missing_result_file_is_http_500(service):
+    client = ServiceClient(service.base_url)
+    job_id = client.submit(SWEEP_DOC)["id"]
+    wait_for(client, job_id)
+    path = service.service.results_dir / f"{job_id}.json"
+    path.write_bytes(path.read_bytes()[:-10])  # truncated: no longer decodes
+    with pytest.raises(ServiceError) as excinfo:
+        client.result(job_id)
+    assert excinfo.value.status == 500
+    assert "missing/corrupt" in excinfo.value.message
+    path.unlink()
+    with pytest.raises(ServiceError) as excinfo:
+        client.result(job_id)
+    assert excinfo.value.status == 500
+    assert "missing/corrupt" in excinfo.value.message
 
 
 def test_unknown_job_and_route_are_404(service):

@@ -202,6 +202,8 @@ class TestEngineWindows:
             ),
             (JobSpec(workload="mcf", num_uops=0), "num_uops must be positive"),
             (JobSpec(workload="mcf", num_uops=-5), "num_uops must be positive"),
+            (JobSpec(workload="mcf", max_cycles=0), "max_cycles must be positive"),
+            (JobSpec(workload="mcf", max_cycles=-5), "max_cycles must be positive"),
         ],
     )
     def test_bad_jobs_rejected_at_expansion(self, job, message):
