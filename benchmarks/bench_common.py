@@ -6,5 +6,7 @@
 FIGURE_BENCHMARKS = ("mcf", "libquantum", "milc", "sphinx3", "bwaves", "lbm")
 
 #: Trace length per benchmark (micro-ops).  Scaled down from the paper's
-#: 1B-instruction SimPoints so the harness runs in minutes (DESIGN.md section 6).
+#: 1B-instruction SimPoints so the harness runs in minutes.  At this length
+#: runs are in the cold-cache regime, where suite means still move with trace
+#: length.
 FIGURE_TRACE_UOPS = 5_000

@@ -2,8 +2,9 @@
 
 Every benchmark regenerates one of the paper's artefacts (a table, a figure,
 or a quoted statistic).  The workload suite is scaled down to a few thousand
-micro-ops per benchmark so the whole harness runs in minutes on a laptop; see
-DESIGN.md section 6 for the scaling rationale.
+micro-ops per benchmark so the whole harness runs in minutes on a laptop.  At
+that length runs are in the cold-cache regime, where suite means still move
+with trace length.
 
 The figure-level comparison runs through the experiment engine.  Set
 ``REPRO_BENCH_WORKERS`` to parallelise it and ``REPRO_BENCH_CACHE`` to a

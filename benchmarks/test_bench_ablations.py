@@ -1,4 +1,4 @@
-"""Ablation studies over PRE's design parameters (DESIGN.md experiment index).
+"""Ablation studies over PRE's design parameters.
 
 These sweeps are not figures in the four-page paper, but they exercise the
 design choices the paper motivates: the SST must be large enough to hold all

@@ -3,7 +3,8 @@
 Paper (Section 5.1): RA +14.5%, RA-buffer +14.4%, PRE +35.5%, PRE+EMQ +28.6%
 on average over the memory-intensive SPEC CPU2006 subset.  The harness
 regenerates the same rows (per benchmark plus the suite average) on the
-surrogate suite; see EXPERIMENTS.md for paper-vs-measured values.
+surrogate suite.  A paper-vs-measured table at a converged trace length is
+an open item in ROADMAP.md ("Paper table at a converged trace length").
 """
 
 from repro.analysis.report import format_performance_figure

@@ -11,11 +11,6 @@ Six subcommands drive the experiment engine:
   without re-simulating anything;
 * ``python -m repro trace record|info|replay`` — stream a workload into a
   compressed trace file, inspect it, and replay it through the engine;
-* ``python -m repro bench`` — measure simulator throughput (wall-clock,
-  uops/s, cycles/s, peak RSS) over a fixed workload x variant matrix, write
-  a ``BENCH_<n>.json`` report, and optionally ``--compare`` against a
-  previous report (exits nonzero on digest divergence, and on throughput
-  regressions beyond ``--max-slowdown``);
 * ``python -m repro study run|list|report`` — expand a registered
   sensitivity study (ROB scaling, EMQ capacity, MSHR x prefetcher, DRAM
   latency, ...) into its cartesian product of configurations, run every cell
@@ -31,9 +26,9 @@ Six subcommands drive the experiment engine:
   (determinism sanitizer, cache-schema drift gate, hot-path lint, taxonomy /
   privacy / probe hygiene) over ``src/repro``.
 
-Exit codes are a stable contract (``repro.errors``): 0 success, 1 regression
-gate, 2 bad spec/arguments, 3 simulation failure, 4 lint findings, 75 service
-busy (``EX_TEMPFAIL``), 130 interrupted.
+Exit codes are a stable contract (``repro.errors``): 0 success, 2 bad
+spec/arguments, 3 simulation failure, 4 lint findings, 75 service busy
+(``EX_TEMPFAIL``), 130 interrupted.
 
 Reproducing the paper end to end::
 
@@ -47,12 +42,6 @@ Record/replay round trip::
     python -m repro trace record --workload mcf --uops 5000 --output mcf.trc
     python -m repro trace info mcf.trc --stats
     python -m repro trace replay mcf.trc --variants pre,runahead
-
-Tracking simulator performance::
-
-    python -m repro bench                      # writes BENCH_<n>.json
-    python -m repro bench --compare BENCH_0.json
-    python -m repro bench --quick              # CI smoke subset
 """
 
 from __future__ import annotations
@@ -77,7 +66,6 @@ from repro.errors import (
     EXIT_INTERRUPTED,
     EXIT_LINT_FINDINGS,
     EXIT_OK,
-    EXIT_REGRESSION,
     EXIT_SIM_FAILURE,
     BadSpecError,
     SimulationError,
@@ -382,117 +370,6 @@ def _trace_replay_sharded(args: argparse.Namespace, variants: List[str]) -> int:
     if args.output:
         write_json(args.output, output)
         print(f"\nsharded results written to {args.output}", file=sys.stderr)
-    return EXIT_OK
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.simulation import perfbench
-
-    if args.max_slowdown is not None and not args.compare:
-        # A gate with no baseline silently checks nothing; fail fast so a
-        # CI job that drops --compare cannot turn permanently green.
-        raise BadSpecError("--max-slowdown requires --compare PREV.json")
-    if args.shards is not None:
-        return _bench_sharded(args, perfbench)
-    if args.quick:
-        default_workloads = perfbench.QUICK_BENCH_WORKLOADS
-        default_variants = perfbench.QUICK_BENCH_VARIANTS
-        default_uops = perfbench.QUICK_BENCH_UOPS
-    else:
-        default_workloads = perfbench.DEFAULT_BENCH_WORKLOADS
-        default_variants = perfbench.DEFAULT_BENCH_VARIANTS
-        default_uops = perfbench.DEFAULT_BENCH_UOPS
-    # Explicit selections always win; --quick only changes the defaults.
-    workloads = _parse_names(
-        args.benchmarks or ",".join(default_workloads),
-        WORKLOAD_REGISTRY.names(),
-        "benchmarks",
-    )
-    variants = _parse_names(
-        args.variants or ",".join(default_variants),
-        VARIANT_REGISTRY.names(),
-        "variants",
-    )
-    num_uops = args.uops if args.uops is not None else default_uops
-    for name in workloads:
-        WORKLOAD_REGISTRY.get(name)  # fail on typos before any simulation
-    for name in variants:
-        VARIANT_REGISTRY.get(name)
-    print(
-        f"benchmarking {len(workloads)} workloads x {len(variants)} variants "
-        f"({num_uops} micro-ops/cell, best of {args.repeats}) ...",
-        file=sys.stderr,
-    )
-    report = perfbench.run_bench(
-        workloads=workloads,
-        variants=variants,
-        num_uops=num_uops,
-        repeats=args.repeats,
-        progress=lambda line: print(f"  {line}", file=sys.stderr),
-    )
-    print(perfbench.format_report(report))
-    if not args.no_write:
-        path = args.output or perfbench.next_bench_path(args.dir)
-        perfbench.write_report(report, path)
-        print(f"\nbench report written to {path}", file=sys.stderr)
-    if args.compare:
-        baseline = perfbench.load_report(args.compare)
-        print(f"\nDelta vs {args.compare}:")
-        print(perfbench.compare_reports(baseline, report))
-        failures = perfbench.comparison_failures(
-            perfbench.compare_cells(baseline, report),
-            max_slowdown_percent=args.max_slowdown,
-        )
-        if failures:
-            print(
-                f"\nbench regression gate FAILED vs {args.compare}:", file=sys.stderr
-            )
-            for failure in failures:
-                print(f"  {failure}", file=sys.stderr)
-            return EXIT_REGRESSION
-    return EXIT_OK
-
-
-def _bench_sharded(args: argparse.Namespace, perfbench) -> int:
-    """``bench --shards N``: time one long-trace sharded replay end to end."""
-    if args.shards < 1:
-        raise BadSpecError(f"--shards must be >= 1, got {args.shards}")
-    num_uops = args.uops if args.uops is not None else perfbench.SHARD_BENCH_UOPS
-    print(
-        f"benchmarking sharded replay: {perfbench.SHARD_BENCH_WORKLOAD}/"
-        f"{perfbench.SHARD_BENCH_VARIANT} at {num_uops} micro-ops, "
-        f"{args.shards} shard(s), {args.workers} worker(s), "
-        f"best of {args.repeats} ...",
-        file=sys.stderr,
-    )
-    report = perfbench.run_sharded_bench(
-        num_uops=num_uops,
-        shards=args.shards,
-        workers=args.workers,
-        warmup_uops=args.warmup_uops,
-        repeats=args.repeats,
-        progress=lambda line: print(f"  {line}", file=sys.stderr),
-    )
-    print(perfbench.format_report(report))
-    if not args.no_write:
-        path = args.output or perfbench.next_bench_path(args.dir)
-        perfbench.write_report(report, path)
-        print(f"\nbench report written to {path}", file=sys.stderr)
-    if args.compare:
-        baseline = perfbench.load_report(args.compare)
-        print(f"\nDelta vs {args.compare}:")
-        print(perfbench.compare_reports(baseline, report))
-        failures = perfbench.comparison_failures(
-            perfbench.compare_cells(baseline, report),
-            max_slowdown_percent=args.max_slowdown,
-        )
-        if failures:
-            print(
-                f"\nbench regression gate FAILED vs {args.compare}:", file=sys.stderr
-            )
-            for failure in failures:
-                print(f"  {failure}", file=sys.stderr)
-            return EXIT_REGRESSION
     return EXIT_OK
 
 
@@ -921,68 +798,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="which figure/table to print (default: all)",
     )
     trace_replay.set_defaults(func=_cmd_trace_replay)
-
-    sub_bench = sub.add_parser(
-        "bench",
-        help="measure simulator throughput and write a BENCH_<n>.json report",
-    )
-    sub_bench.add_argument(
-        "--benchmarks", default=None,
-        help="comma-separated workload names, or 'all' "
-             "(default: the Figure-2 six-benchmark matrix)",
-    )
-    sub_bench.add_argument(
-        "--variants", default=None,
-        help="comma-separated variant names, or 'all' (default: every variant)",
-    )
-    sub_bench.add_argument(
-        "--uops", type=int, default=None,
-        help="micro-ops per cell (default: 3000, or 800 with --quick)",
-    )
-    sub_bench.add_argument(
-        "--repeats", type=int, default=1,
-        help="runs per cell; wall time is the best of these (default: 1)",
-    )
-    sub_bench.add_argument(
-        "--quick", action="store_true",
-        help="CI smoke matrix: mcf,milc x ooo,pre at 800 micro-ops",
-    )
-    sub_bench.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="instead of the matrix, time one long-trace sharded replay "
-             "(sphinx3/ooo at 60000 micro-ops by default) split N ways",
-    )
-    sub_bench.add_argument(
-        "--warmup-uops", type=int, default=0, metavar="K",
-        help="with --shards: per-shard warmup prefix in micro-ops (default: 0)",
-    )
-    sub_bench.add_argument(
-        "--workers", type=int, default=1,
-        help="with --shards: worker processes for the shard jobs (default: 1)",
-    )
-    sub_bench.add_argument(
-        "--dir", default=".",
-        help="directory for the auto-numbered BENCH_<n>.json (default: cwd)",
-    )
-    sub_bench.add_argument(
-        "--output", default=None,
-        help="explicit report path (overrides the auto-numbered name)",
-    )
-    sub_bench.add_argument(
-        "--no-write", action="store_true",
-        help="print the table only; do not write a report file",
-    )
-    sub_bench.add_argument(
-        "--compare", default=None, metavar="PREV.json",
-        help="print per-cell throughput deltas against a previous report; "
-             "exits nonzero if any same-size cell's stats digest diverged",
-    )
-    sub_bench.add_argument(
-        "--max-slowdown", type=float, default=None, metavar="PCT",
-        help="with --compare: also exit nonzero when any matched cell's "
-             "throughput dropped by more than PCT percent",
-    )
-    sub_bench.set_defaults(func=_cmd_bench)
 
     sub_study = sub.add_parser(
         "study", help="run declarative sensitivity studies (config sweeps)"

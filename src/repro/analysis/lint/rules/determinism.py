@@ -17,7 +17,8 @@ forbids the nondeterminism sources statically:
 * ``D103`` — wall-clock reads: ``time.time``/``time.monotonic`` (and their
   ``_ns`` twins) and ``datetime.now``/``utcnow``/``today``.
   ``time.perf_counter`` stays legal: measuring *how long* a simulation took
-  (``perfbench``) never feeds simulated state.
+  (as the ``perfbench/`` benchmark does from outside the package) never
+  feeds simulated state.
 * ``D104`` — entropy sources: ``os.urandom``, ``uuid.uuid1``/``uuid4``,
   anything from ``secrets``.
 * ``D105`` — ``id()``-keyed ordering (``sorted(xs, key=id)``): CPython

@@ -8,7 +8,9 @@ multiplies them by per-access energies representative of a 22 nm core, adds
 leakage proportional to execution time, and adds the runahead structures'
 energy from an analytic SRAM model.  The paper's energy argument is structural
 (re-fetching and re-executing whole windows versus small extra SRAM
-structures), which this accounting captures; see DESIGN.md section 2.
+structures), which this accounting captures: every variant is charged from
+the same event counts and per-access energies, so the comparison between
+variants does not depend on matching McPAT's absolute figures.
 """
 
 from repro.energy.cacti import SRAMModel, sram_access_energy_pj, sram_leakage_mw

@@ -16,9 +16,7 @@ the HTTP layer) need to tell *whose fault* a failure was:
   cancelled and state flushed.  CLI exit code :data:`EXIT_INTERRUPTED`
   (the conventional ``128 + SIGINT``).
 
-The bench ``--compare`` regression gate keeps its historical exit code ``1``:
-it is neither a bad spec nor a crash, just a failed assertion about speed.
-``repro lint`` similarly gets its own code (:data:`EXIT_LINT_FINDINGS`): a
+``repro lint`` gets its own code (:data:`EXIT_LINT_FINDINGS`): a
 non-baselined finding is a failed assertion about the code under analysis,
 distinct from the lint invocation itself being malformed (that stays
 :data:`EXIT_BAD_SPEC`).
@@ -29,19 +27,15 @@ from __future__ import annotations
 #: Everything worked.
 EXIT_OK = 0
 
-#: A regression/comparison gate failed (``bench --compare``).
-EXIT_REGRESSION = 1
-
 #: The user's spec/flags/document were invalid (fix the input, then retry).
 EXIT_BAD_SPEC = 2
 
 #: A valid spec failed during simulation/execution (the run crashed).
 EXIT_SIM_FAILURE = 3
 
-#: ``repro lint`` found non-baselined findings.  Like :data:`EXIT_REGRESSION`
-#: this is a failed assertion about the *code*, not a crash and not a bad
-#: spec: the diff (or the committed baseline) must change before CI goes
-#: green again.
+#: ``repro lint`` found non-baselined findings.  This is a failed assertion
+#: about the *code*, not a crash and not a bad spec: the diff (or the
+#: committed baseline) must change before CI goes green again.
 EXIT_LINT_FINDINGS = 4
 
 #: The service refused admission because its queue is full (retry later);
@@ -90,7 +84,6 @@ __all__ = [
     "EXIT_INTERRUPTED",
     "EXIT_LINT_FINDINGS",
     "EXIT_OK",
-    "EXIT_REGRESSION",
     "EXIT_SIM_FAILURE",
     "JobCancelled",
     "SimulationError",

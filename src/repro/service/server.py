@@ -93,6 +93,13 @@ class _Job:
     def terminal(self) -> bool:
         return self.record.state in ("done", "failed")
 
+    def wake_waiters(self) -> None:
+        """Resolve every pending long-poll waiter."""
+        waiters, self.waiters = self.waiters, []
+        for waiter in waiters:
+            if not waiter.done():
+                waiter.set_result(None)
+
 
 class ExperimentService:
     """The experiment daemon: HTTP API + durable queue + engine workers.
@@ -219,6 +226,11 @@ class ExperimentService:
         self.fleet.wake()  # distributed job threads re-check _stop now
         if self._server is not None:
             self._server.close()
+            # Answer in-flight /events long-polls now: wait_closed() waits for
+            # open connections (Python 3.12+), and on older versions a poll
+            # left pending would hang its client until the socket timeout.
+            for job in self.jobs.values():
+                job.wake_waiters()
             await self._server.wait_closed()
         # Join the worker *threads* first: they observe _stop at their next
         # cell boundary and return a "cancelled" outcome, which the worker
@@ -381,14 +393,11 @@ class ExperimentService:
         event = dict(event)
         event["seq"] = len(job.events) + 1
         job.events.append(event)
-        waiters, job.waiters = job.waiters, []
-        for waiter in waiters:
-            if not waiter.done():
-                waiter.set_result(None)
+        job.wake_waiters()
 
     async def _wait_for_events(self, job: _Job, after: int, timeout: float) -> None:
-        """Block until ``job`` has events beyond ``after`` (or timeout)."""
-        if len(job.events) > after or job.terminal:
+        """Block until ``job`` has events beyond ``after``, timeout or shutdown."""
+        if len(job.events) > after or job.terminal or self._stop.is_set():
             return
         assert self._loop is not None
         waiter: asyncio.Future = self._loop.create_future()

@@ -6,7 +6,8 @@ them are available here, so this package provides deterministic synthetic
 workload generators that reproduce the memory behaviours the evaluation relies
 on (pointer chasing, streaming with a single stalling slice, multi-slice
 irregular access, and compute/memory mixes), plus a SimPoint-like sampler.
-See DESIGN.md section 2 for the substitution rationale.
+Each surrogate reproduces its benchmark's memory behaviour class;
+:mod:`repro.workloads.spec_surrogates` lists the classes.
 """
 
 from repro.workloads.trace import (

@@ -13,8 +13,7 @@ the published characterisation of that benchmark:
 * ``bwaves``/``cactusADM`` — indexed gathers over large arrays.
 
 The per-surrogate parameters (number of slices, footprint, compute density)
-control where each one falls on the spectrum the paper's Figure 2 spans; see
-DESIGN.md section 2 for the substitution rationale.
+control where each one falls on the spectrum the paper's Figure 2 spans.
 """
 
 from __future__ import annotations

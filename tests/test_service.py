@@ -548,6 +548,39 @@ def test_graceful_stop_mid_run_exits_interrupted_and_resumes(
         assert handle.stop() == 0
 
 
+def test_stop_answers_an_in_flight_long_poll(tmp_path):
+    """Stopping the daemon answers a pending ``/events`` long-poll at once,
+    instead of waiting out its timeout or leaving the client hanging."""
+    handle = ServiceThread(state_dir=tmp_path / "state", start_paused=True)
+    client = ServiceClient(handle.base_url)
+    job_id = client.submit(SWEEP_DOC)["id"]
+    after = client.job(job_id)["events"]
+    polled = {}
+
+    def poll():
+        try:
+            polled["chunk"] = client.events(job_id, after=after, timeout=25.0)
+        except BaseException as exc:  # noqa: BLE001 — test capture
+            polled["error"] = exc
+
+    poller = threading.Thread(target=poll, daemon=True)
+    poller.start()
+    job = handle.service.jobs[job_id]
+    for _ in range(500):
+        if job.waiters:
+            break
+        time.sleep(0.01)
+    assert job.waiters, "the long-poll never reached the daemon"
+    began = time.monotonic()
+    assert handle.stop(timeout=5.0) == 0
+    poller.join(timeout=5.0)
+    assert not poller.is_alive(), "the long-poll was never answered"
+    assert time.monotonic() - began < 5.0
+    assert "error" not in polled, polled.get("error")
+    assert polled["chunk"]["state"] == "queued"
+    assert polled["chunk"]["events"] == []
+
+
 # --------------------------------------------------------- failure taxonomy
 
 
