@@ -65,13 +65,11 @@ from repro.uarch.probes import Probe
 from repro.workloads import (
     FileTraceSource,
     GeneratorSource,
-    MaterializedTrace,
     MicroOp,
     Trace,
     TraceSource,
     UopClass,
     WindowedSource,
-    as_source,
     build_surrogate,
     surrogate_names,
     surrogate_suite,
@@ -119,13 +117,11 @@ __all__ = [
     "Probe",
     "FileTraceSource",
     "GeneratorSource",
-    "MaterializedTrace",
     "MicroOp",
     "Trace",
     "TraceSource",
     "UopClass",
     "WindowedSource",
-    "as_source",
     "build_surrogate",
     "surrogate_names",
     "surrogate_suite",

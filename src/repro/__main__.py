@@ -92,7 +92,6 @@ from repro.simulation.golden import DEFAULT_GOLDEN_WORKLOADS
 from repro.workloads.source import (
     FileTraceSource,
     read_trace_header,
-    streaming_trace_stats,
     trace_file_digest,
     write_trace_file,
 )
@@ -265,7 +264,7 @@ def _cmd_trace_info(args: argparse.Namespace) -> int:
     print(f"  format   : {header['format']} v{header['version']}")
     print(f"  digest   : {trace_file_digest(args.trace)}")
     if args.stats:
-        stats = streaming_trace_stats(FileTraceSource(args.trace))
+        stats = FileTraceSource(args.trace).stats()
         print(f"  loads    : {stats.num_loads} ({stats.load_fraction:.1%})")
         print(f"  stores   : {stats.num_stores}")
         print(f"  branches : {stats.num_branches}")

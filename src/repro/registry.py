@@ -165,7 +165,7 @@ VARIANT_REGISTRY = Registry("variant")
 #: Workloads: factories return a :class:`~repro.workloads.trace.Trace` and
 #: accept an optional ``num_uops`` keyword overriding the trace length.  An
 #: entry may additionally carry a ``source_factory`` metadata callable
-#: returning a :class:`~repro.workloads.source.TraceSource` for streaming
+#: returning a :class:`~repro.workloads.trace.TraceSource` for streaming
 #: construction (see :func:`build_workload_source`).
 WORKLOAD_REGISTRY = Registry("workload")
 
@@ -246,11 +246,11 @@ def build_workload(name: str, num_uops: Optional[int] = None):
 
 
 def build_workload_source(name: str, num_uops: Optional[int] = None):
-    """Build a lazy :class:`~repro.workloads.source.TraceSource` for ``name``.
+    """Build a lazy :class:`~repro.workloads.trace.TraceSource` for ``name``.
 
     Uses the registry entry's ``source_factory`` metadata when present (the
     streaming construction path, identical micro-op stream at O(window)
-    memory); otherwise materialises the trace and wraps it, so every
+    memory); otherwise returns the eager trace, itself a source, so every
     registered workload is reachable through this call.
     """
     entry = WORKLOAD_REGISTRY.get(name)
@@ -259,6 +259,4 @@ def build_workload_source(name: str, num_uops: Optional[int] = None):
         if num_uops is None:
             return factory()
         return factory(num_uops=num_uops)
-    from repro.workloads.source import MaterializedTrace  # avoid an import cycle
-
-    return MaterializedTrace(build_workload(name, num_uops=num_uops))
+    return build_workload(name, num_uops=num_uops)

@@ -21,10 +21,10 @@ Workloads are referenced *by name* through
 :data:`repro.registry.WORKLOAD_REGISTRY` (worker processes rebuild the trace
 locally rather than unpickling megabytes of micro-ops), and variants through
 :data:`repro.registry.VARIANT_REGISTRY`; anything registered with
-``@register_workload`` / ``@register_variant`` can be swept.  In-process
-:class:`~repro.workloads.trace.Trace` and
-:class:`~repro.workloads.source.TraceSource` objects are also accepted
-(``JobSpec(trace=...)``) and cached by a digest of their content.
+``@register_workload`` / ``@register_variant`` can be swept.  Any in-process
+:class:`~repro.workloads.trace.TraceSource` (an in-memory
+:class:`~repro.workloads.trace.Trace` included) is also accepted
+(``JobSpec(trace=...)``) and cached by a digest of its content.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ from repro.simulation.simulator import (
     run_simulation,
 )
 from repro.uarch.config import CoreConfig
-from repro.workloads.source import FileTraceSource, TraceSource, as_source
-from repro.workloads.trace import Trace
+from repro.workloads.source import FileTraceSource, WindowedSource
+from repro.workloads.trace import Trace, TraceSource
 
 #: Bump when the simulator or result schema changes incompatibly; invalidates
 #: every cached result.  v5: multi-core co-runner specs joined the job
@@ -201,8 +201,8 @@ class JobSpec(JSONSerializable):
 
     The trace comes from exactly one of two places: ``workload`` (a registry
     name, rebuilt locally by each worker) or ``trace`` (an in-process
-    :class:`~repro.workloads.trace.Trace` or
-    :class:`~repro.workloads.source.TraceSource`).  A recorded
+    :class:`~repro.workloads.trace.Trace` or other
+    :class:`~repro.workloads.trace.TraceSource`).  A recorded
     :class:`~repro.workloads.source.FileTraceSource` ships to workers by path
     and is cache-keyed by its file digest; any other trace ships as the
     object itself and is keyed by a digest of its micro-ops.  ``window``
@@ -266,7 +266,7 @@ def sweep_jobs(spec: SweepSpec, engine: "ExperimentEngine") -> List[JobSpec]:
 # ----------------------------------------------------------------- job model
 
 
-def _trace_digest(trace: Union[Trace, TraceSource]) -> str:
+def _trace_digest(trace: TraceSource) -> str:
     """Content hash of a trace: every micro-op field contributes."""
     hasher = hashlib.sha256()
     for uop in trace:
@@ -291,7 +291,7 @@ def _job_payload(
     benchmark: str,
     variant: str,
     source: Dict[str, Any],
-    trace: Optional[Union[Trace, "TraceSource"]],
+    trace: Optional[TraceSource],
     config: CoreConfig,
     hierarchy_config: Optional[HierarchyConfig],
     max_cycles: Optional[int],
@@ -461,8 +461,7 @@ def _execute_job(payload: Dict[str, Any]) -> Dict[str, Any]:
         # from the returned stats by run_simulation's stats_start seam.
         warmup_uops = payload.get("warmup_uops") or 0
         start, end = window
-        base = as_source(trace)
-        trace = base.window(start - warmup_uops, end, name=base.name)
+        trace = WindowedSource(trace, start - warmup_uops, end, name=trace.name)
     request = SimulationRequest(
         variant=payload["variant"],
         config=config,
@@ -821,7 +820,7 @@ class ExperimentEngine:
                 "token": _workload_token(WORKLOAD_REGISTRY.get(job.workload)),
             }
             return job.workload, descriptor, None
-        source = as_source(job.trace)
+        source = job.trace
         if isinstance(source, FileTraceSource):
             # Workers reopen the file by path instead of unpickling micro-ops.
             descriptor = {"kind": "file", "name": source.name, "path": str(source.path)}

@@ -36,12 +36,12 @@ from repro.simulation.simulator import (
     DEFAULT_ADDRESS_STRIDE,
     ProbeLike,
     SimulationResult,
-    TraceLike,
     _simulate,
 )
 from repro.uarch.config import CoreConfig
 from repro.uarch.core import OoOCore, run_lockstep
 from repro.uarch.stats import CoreStats
+from repro.workloads.trace import TraceSource
 
 
 @dataclass
@@ -99,7 +99,7 @@ class MultiCoreSimulator:
 
 
 def run_multicore(
-    cores: Sequence[Tuple[TraceLike, str]],
+    cores: Sequence[Tuple[TraceSource, str]],
     config: Optional[CoreConfig] = None,
     hierarchy_config: Optional[HierarchyConfig] = None,
     energy_model: Optional[EnergyModel] = None,

@@ -27,7 +27,7 @@ honest:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from repro.memory.hierarchy import HierarchyConfig
 from repro.serde import JSONSerializable
@@ -38,8 +38,8 @@ from repro.simulation.simulator import (
 )
 from repro.uarch.config import CoreConfig
 from repro.uarch.stats import CoreStats
-from repro.workloads.source import TraceSource, as_source
-from repro.workloads.trace import Trace
+from repro.workloads.source import FileTraceSource
+from repro.workloads.trace import TraceSource
 
 
 @dataclass(frozen=True)
@@ -182,7 +182,7 @@ class ShardedRunResult(JSONSerializable):
 
 
 def shard_jobs(
-    source: Union[Trace, TraceSource],
+    source: TraceSource,
     plan: ShardPlan,
     variant: str,
     *,
@@ -214,7 +214,7 @@ def shard_jobs(
 
 
 def run_sharded(
-    trace: Union[Trace, TraceSource],
+    trace: TraceSource,
     variant: str = "pre",
     shards: int = 1,
     warmup_uops: int = 0,
@@ -241,12 +241,11 @@ def run_sharded(
     and its statistics are returned as-is, skipping the weighted stitch and
     its float round-off entirely.
     """
-    source = as_source(trace)
-    if source.length is None:
-        source = source.materialized()
-    plan = plan_shards(source.length, shards, warmup_uops)
+    if trace.length is None:
+        trace = trace.materialize()
+    plan = plan_shards(trace.length, shards, warmup_uops)
     jobs = shard_jobs(
-        source,
+        trace,
         plan,
         variant,
         config=config,
@@ -272,7 +271,7 @@ def run_sharded(
         )
     return ShardedRunResult(
         variant=variant,
-        trace_name=source.name,
+        trace_name=trace.name,
         total_uops=plan.total_uops,
         warmup_uops=plan.warmup_uops,
         shards=shard_results,
@@ -325,8 +324,6 @@ def run_replay_spec(
     executor=None,
 ) -> ShardedRunResult:
     """Execute a :class:`ReplaySpec` through ``engine`` (the service path)."""
-    from repro.workloads.source import FileTraceSource
-
     spec.validate()
     return run_sharded(
         FileTraceSource(spec.trace_file),

@@ -5,11 +5,10 @@
 side.  Both share one set-up path: fresh hierarchies and cores, the
 lockstep loop, energy, and a :class:`SimulationResult`.
 
-Workloads are accepted either as an in-memory
-:class:`~repro.workloads.trace.Trace` (the original, backward-compatible
-path) or as any :class:`~repro.workloads.source.TraceSource` — streaming
-generator, recorded trace file, SimPoint window — which the core consumes
-lazily.  Instrumentation probes (registry names or
+A workload is any :class:`~repro.workloads.trace.TraceSource`: an in-memory
+:class:`~repro.workloads.trace.Trace`, or a streaming generator, recorded
+trace file or SimPoint window, which the core consumes lazily.
+Instrumentation probes (registry names or
 :class:`~repro.uarch.probes.Probe` instances) can be attached per run; their
 findings land in :attr:`SimulationResult.probe_reports`.
 
@@ -36,11 +35,7 @@ from repro.uarch.core import OoOCore, run_lockstep
 from repro.uarch.probes import Probe, build_probe, default_probes
 from repro.uarch.stats import CoreStats
 from repro.workloads.simpoint import SimPointSampler
-from repro.workloads.source import TraceSource, as_source
-from repro.workloads.trace import Trace
-
-#: Accepted workload argument: an eager trace or any streaming source.
-TraceLike = Union[Trace, TraceSource]
+from repro.workloads.trace import TraceSource
 
 #: Accepted probe argument: registry names or ready-made instances.
 ProbeLike = Union[str, Probe]
@@ -176,7 +171,7 @@ def _runahead_sram_models(core: OoOCore) -> Dict[str, SRAMModel]:
 
 
 def _simulate(
-    pairs: Sequence[Tuple[TraceLike, str]],
+    pairs: Sequence[Tuple[TraceSource, str]],
     config: Optional[CoreConfig] = None,
     hierarchy_config: Optional[HierarchyConfig] = None,
     energy_model: Optional[EnergyModel] = None,
@@ -199,18 +194,17 @@ def _simulate(
         raise ValueError(f"address_stride must be positive, got {address_stride}")
     if warmup_uops < 0:
         raise ValueError(f"warmup_uops must be >= 0, got {warmup_uops}")
-    sources = [as_source(trace) for trace, _ in pairs]
-    for source in sources:
-        if source.length is not None and warmup_uops > source.length:
+    for trace, _ in pairs:
+        if trace.length is not None and warmup_uops > trace.length:
             raise ValueError(
-                f"warmup_uops ({warmup_uops}) exceeds the {source.length} "
-                f"micro-ops of {source.name!r}"
+                f"warmup_uops ({warmup_uops}) exceeds the {trace.length} "
+                f"micro-ops of {trace.name!r}"
             )
     config = config or CoreConfig()
     hierarchy_config = hierarchy_config or HierarchyConfig()
     uncore = SharedUncore(config=hierarchy_config, num_cores=len(pairs))
     cores = []
-    for core_id, (source, controller) in enumerate(zip(sources, controllers)):
+    for core_id, ((trace, _), controller) in enumerate(zip(pairs, controllers)):
         hierarchy = PrivateHierarchy(
             config=hierarchy_config,
             uncore=uncore,
@@ -221,7 +215,7 @@ def _simulate(
         attached = [build_probe(probe) for probe in probes] if core_id == 0 else []
         cores.append(
             OoOCore(
-                source,
+                trace,
                 config=config,
                 hierarchy=hierarchy,
                 controller=controller,
@@ -230,7 +224,7 @@ def _simulate(
         )
     all_stats = run_lockstep(cores, max_cycles, warmup_uops)
 
-    focus, variant = cores[0], pairs[0][1]
+    focus, (trace, variant) = cores[0], pairs[0]
     report = (energy_model or EnergyModel()).evaluate(
         variant=variant,
         stats=all_stats[0],
@@ -240,16 +234,16 @@ def _simulate(
     )
     return SimulationResult(
         variant=variant,
-        trace_name=sources[0].name,
+        trace_name=trace.name,
         stats=all_stats[0],
         energy=report,
         config=config,
         # Default probes report None, so this is exactly the attached findings.
         probe_reports=focus.probes.reports(),
         cores=[
-            CoreResult(core_id, core_variant, source.name, stats)
-            for core_id, (source, (_, core_variant), stats) in enumerate(
-                zip(sources, pairs, all_stats)
+            CoreResult(core_id, core_variant, core_trace.name, stats)
+            for core_id, ((core_trace, core_variant), stats) in enumerate(
+                zip(pairs, all_stats)
             )
         ],
         uncore=UncoreReport(
@@ -264,7 +258,7 @@ def _simulate(
 
 
 def run_simulation(
-    trace: TraceLike,
+    trace: TraceSource,
     request: Optional[SimulationRequest] = None,
     *,
     energy_model: Optional[EnergyModel] = None,
@@ -379,7 +373,7 @@ def _weighted_core_stats(
 
 
 def run_simpoints(
-    trace: TraceLike,
+    trace: TraceSource,
     variant: str = "pre",
     config: Optional[CoreConfig] = None,
     hierarchy_config: Optional[HierarchyConfig] = None,
@@ -413,15 +407,14 @@ def run_simpoints(
     # Local import: engine.py imports this module at load time.
     from repro.simulation.engine import ExperimentEngine, JobSpec
 
-    source = as_source(trace)
     sampler = SimPointSampler(
         interval_size=interval_size, max_clusters=max_clusters, seed=seed
     )
-    intervals, total_uops = sampler.select_source(source)
+    intervals, total_uops = sampler.select_source(trace)
     jobs = [
         JobSpec(
             variant=variant,
-            trace=source,
+            trace=trace,
             config=config,
             hierarchy_config=hierarchy_config,
             max_cycles=max_cycles,
@@ -446,7 +439,7 @@ def run_simpoints(
     )
     return SimPointRunResult(
         variant=variant,
-        trace_name=source.name,
+        trace_name=trace.name,
         total_uops=total_uops,
         simulated_uops=sum(entry.length for entry in interval_results),
         intervals=interval_results,

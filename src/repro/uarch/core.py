@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.memory.hierarchy import PrivateHierarchy
 from repro.uarch.branch import GShareBranchPredictor
@@ -42,8 +42,7 @@ from repro.uarch.regfile import PhysicalRegisterFile
 from repro.uarch.rename import RegisterAliasTable, RetirementRAT
 from repro.uarch.rob import ReorderBuffer
 from repro.uarch.stats import CoreStats, RunaheadInterval
-from repro.workloads.source import MaterializedTrace, TraceSource, as_source
-from repro.workloads.trace import FP_REG_BASE, MicroOp, Trace, UopClass, is_fp_reg
+from repro.workloads.trace import FP_REG_BASE, MicroOp, Trace, TraceSource, is_fp_reg
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.base import RunaheadController
@@ -128,9 +127,9 @@ class DynInstr:
         self.completion_cycle: Optional[int] = None
         self.is_load = uop.is_load
         self.is_store = uop.is_store
-        #: First source operand observed not ready by the issue-select scan
-        #: (a (is_fp, preg) pair), memoised so the scan can skip this entry
-        #: with one ready-bit read until that register becomes ready.
+        #: First source operand (an (is_fp, preg) pair) the issue-select
+        #: scan found not ready, memoised so later scans re-test only it,
+        #: under the same readiness rule, until it becomes ready.
         self.block_op: Optional[Tuple[bool, int]] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -149,12 +148,17 @@ class DynInstr:
         return f"DynInstr(seq={self.seq}, {self.uop.uop_class.value}@{self.uop.pc:#x}, [{flags}])"
 
 
+def _no_poison(instr: DynInstr) -> bool:
+    """The baseline core's poison rule: no instruction consumes an INV value."""
+    return False
+
+
 class OoOCore:
     """Cycle-level out-of-order core, optionally extended with a runahead controller."""
 
     def __init__(
         self,
-        trace: Union[Trace, TraceSource],
+        trace: TraceSource,
         config: Optional[CoreConfig] = None,
         hierarchy: Optional[PrivateHierarchy] = None,
         controller: Optional["RunaheadController"] = None,
@@ -162,22 +166,15 @@ class OoOCore:
         probes: Optional[Iterable[Probe]] = None,
     ) -> None:
         self.config = config or CoreConfig()
-        source = as_source(trace)
-        if (
-            controller is not None
-            and controller.requires_trace_oracle
-            and not isinstance(source, MaterializedTrace)
-        ):
+        if controller is not None and controller.requires_trace_oracle:
             # The runahead-buffer controller indexes future dynamic load
             # instances (its replay oracle), which a forward-only stream
-            # cannot serve; fall back to materialising the source.
-            source = source.materialized()
-        self.source = source
-        #: Whole-trace random-access view, available on materialised sources
-        #: only (controllers with ``requires_trace_oracle`` rely on it).
-        self.trace: Optional[Trace] = (
-            source.trace if isinstance(source, MaterializedTrace) else None
-        )
+            # cannot serve; read the stream into memory (a Trace is itself).
+            trace = trace.materialize()
+        self.source = trace
+        #: Whole-trace random-access view when the run reads an in-memory
+        #: trace, as controllers with ``requires_trace_oracle`` always do.
+        self.trace: Optional[Trace] = trace if isinstance(trace, Trace) else None
         self.hierarchy = hierarchy or PrivateHierarchy()
         #: This core's identity on the shared uncore, mirrored from its
         #: memory port; probes receive the core object and can read it to
@@ -191,7 +188,7 @@ class OoOCore:
             self.config.branch_predictor_entries, self.config.branch_history_bits
         )
         self.frontend = FrontEnd(
-            source,
+            trace,
             self.config,
             self.predictor,
             self.hierarchy.instruction_port(),
@@ -534,52 +531,23 @@ class OoOCore:
 
     def _issue(self) -> int:
         cycle = self.cycle
-        int_ready = self.int_rf._ready
-        fp_ready = self.fp_rf._ready
-        poisoned = self.poisoned_pregs
-        if poisoned:
-            controller = self.controller
-            treat = (
-                controller.treat_poison_as_ready if controller is not None else None
-            )
-
-            def operand_ready(instr: DynInstr) -> bool:
-                for op in instr.src_ops:
-                    is_fp, preg = op
-                    if fp_ready[preg] if is_fp else int_ready[preg]:
-                        continue
-                    if treat is not None and op in poisoned and treat(instr):
-                        continue
-                    return False
-                return True
-
-            selected = self.iq.select_ready(
-                cycle,
-                self.config.pipeline_width,
-                operand_ready,
-                self.config.max_loads_per_cycle,
-                self.config.max_stores_per_cycle,
-            )
-        else:
-            # Poison-free fast path (every cycle outside runahead mode): the
-            # readiness rule collapses to raw ready-bit reads, evaluated
-            # inside the issue queue's blocker-memoised scan with no
-            # per-cycle closure allocation and no set membership tests.
-            selected = self.iq.select_ready_fast(
-                cycle,
-                self.config.pipeline_width,
-                int_ready,
-                fp_ready,
-                self.config.max_loads_per_cycle,
-                self.config.max_stores_per_cycle,
-            )
+        config = self.config
+        controller = self.controller
+        selected = self.iq.select_ready(
+            cycle,
+            config.pipeline_width,
+            self.int_rf._ready,
+            self.fp_rf._ready,
+            config.max_loads_per_cycle,
+            config.max_stores_per_cycle,
+            self.poisoned_pregs,
+            _no_poison if controller is None else controller.treat_poison_as_ready,
+        )
         issued = 0
         events = self.stats.events
         for instr in selected:
-            # Named instr_poisoned, not poisoned: the operand_ready closure
-            # above captures `poisoned` (the preg set) as a free variable.
-            instr_poisoned = instr.poisoned or self._has_poisoned_source(instr)
-            if instr.is_load and not instr_poisoned:
+            poisoned = instr.poisoned or self._has_poisoned_source(instr)
+            if instr.is_load and not poisoned:
                 latency = self._issue_load(instr)
                 if latency is None:
                     continue  # MSHR full: retry in a later cycle.
@@ -587,7 +555,7 @@ class OoOCore:
                 latency = execution_latency(instr.uop.uop_class)
                 if instr.is_load:
                     instr.poisoned = True
-            if instr_poisoned and instr.dest_preg is not None:
+            if poisoned and instr.dest_preg is not None:
                 self.poisoned_pregs.add((bool(instr.dest_is_fp), instr.dest_preg))
                 instr.poisoned = True
             self.iq.remove(instr)

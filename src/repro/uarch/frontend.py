@@ -5,11 +5,11 @@ The front-end is modelled as an 8-stage pipeline (Table 1) that fetches up to
 branches, and delivers decoded micro-ops into the micro-op queue from which
 the rename stage dispatches.
 
-The stream is consumed through a :class:`~repro.workloads.source.TraceSource`
+The stream is consumed through a :class:`~repro.workloads.trace.TraceSource`
 cursor: sequential reads pull micro-ops on demand, and pipeline flushes rewind
 to any not-yet-committed index (the cursor retains exactly that window, so
 streaming workloads run at O(window) memory).  An in-memory
-:class:`~repro.workloads.trace.Trace` takes a zero-copy fast path.
+:class:`~repro.workloads.trace.Trace` is a source too and is read the same way.
 
 Because the simulator is trace-driven there is no wrong path: a mispredicted
 branch instead stalls fetch until the branch resolves, after which fetch
@@ -22,14 +22,13 @@ buffer's front-end power gating both plug in through small hooks
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Union
+from typing import Deque, List, Optional
 
 from repro.memory.port import InstructionPort
 from repro.uarch.branch import GShareBranchPredictor
 from repro.uarch.config import CoreConfig
 from repro.uarch.stats import CoreStats
-from repro.workloads.source import TraceSource, as_source
-from repro.workloads.trace import MicroOp, Trace
+from repro.workloads.trace import MicroOp, TraceSource
 
 
 class FetchedUop:
@@ -61,14 +60,14 @@ class FrontEnd:
 
     def __init__(
         self,
-        trace: Union[Trace, TraceSource],
+        trace: TraceSource,
         config: CoreConfig,
         predictor: GShareBranchPredictor,
         port: Optional[InstructionPort] = None,
         stats: Optional[CoreStats] = None,
     ) -> None:
-        self.source = as_source(trace)
-        self.cursor = self.source.cursor()
+        self.source = trace
+        self.cursor = trace.cursor()
         self.config = config
         self.predictor = predictor
         #: Instruction-side memory port — the *only* piece of the memory

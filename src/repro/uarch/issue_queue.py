@@ -11,7 +11,7 @@ at runahead entry.
 from __future__ import annotations
 
 import operator
-from typing import TYPE_CHECKING, Callable, Iterator, List, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, List, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.uarch.core import DynInstr
@@ -22,12 +22,11 @@ _SEQ_KEY = operator.attrgetter("seq")
 class IssueQueue:
     """Bounded, age-ordered pool of not-yet-issued instructions.
 
-    ``_entries`` is kept sorted by sequence number: dispatch almost always
-    inserts in age order, so instead of re-sorting the whole queue on every
-    :meth:`select_ready` call (the previous scheme — the single hottest
-    operation in the simulator), an out-of-order insert merely flags the list
-    and the rare lazy sort happens on the next select.  Removal never breaks
-    the ordering.
+    ``_entries`` is kept sorted by sequence number.  Dispatch almost always
+    inserts in age order, so an out-of-order insert merely flags the list and
+    the next :meth:`select_ready` sorts it; removal never breaks the
+    ordering.  :meth:`select_ready` is the one issue select, with one operand
+    readiness rule for normal and runahead mode alike.
     """
 
     def __init__(self, capacity: int = 92) -> None:
@@ -75,69 +74,26 @@ class IssueQueue:
         self,
         cycle: int,
         width: int,
-        is_ready: Callable[["DynInstr"], bool],
-        max_loads: int,
-        max_stores: int,
-    ) -> List["DynInstr"]:
-        """Pick up to ``width`` issuable instructions, oldest first.
-
-        ``is_ready`` decides operand readiness (the core supplies it because
-        readiness depends on runahead poison rules).  Load/store port limits
-        are enforced here.  Selected instructions remain in the queue; the
-        caller removes them once it actually issues them.
-        """
-        entries = self._entries
-        if not entries:
-            return []
-        if not self._sorted:
-            entries.sort(key=_SEQ_KEY)
-            self._sorted = True
-        selected: List["DynInstr"] = []
-        loads = 0
-        stores = 0
-        count = 0
-        for instr in entries:
-            if instr.earliest_issue_cycle > cycle:
-                continue
-            if instr.is_load:
-                if loads >= max_loads:
-                    continue
-            elif instr.is_store and stores >= max_stores:
-                continue
-            if not is_ready(instr):
-                continue
-            selected.append(instr)
-            count += 1
-            if count >= width:
-                break
-            if instr.is_load:
-                loads += 1
-            elif instr.is_store:
-                stores += 1
-        return selected
-
-    def select_ready_fast(
-        self,
-        cycle: int,
-        width: int,
         int_ready: List[bool],
         fp_ready: List[bool],
         max_loads: int,
         max_stores: int,
+        poisoned: Set[Tuple[bool, int]],
+        poison_ok: Callable[["DynInstr"], bool],
     ) -> List["DynInstr"]:
-        """Poison-free variant of :meth:`select_ready`.
+        """Pick up to ``width`` issuable instructions, oldest first.
 
-        Outside runahead mode readiness is exactly "every source register's
-        ready bit is set", so the core passes the raw ready-bit arrays and the
-        scan checks them inline — no per-entry callback.  Each entry also
-        memoises its first not-ready operand (``DynInstr.block_op``): while
-        that register's bit stays clear, the entry is skipped with a single
-        list index instead of a full operand scan.  The memo is only ever an
-        operand *observed* not ready, and a physically not-ready operand
-        implies not-ready under the poison-free rule, so a memo-driven skip
-        can never diverge from the full scan; poison-mode selection
-        (:meth:`select_ready`) simply ignores the memo, where a not-ready
-        register may still count as ready.
+        A source operand ``(is_fp, preg)`` is ready when its ready bit is set,
+        or when it is in ``poisoned`` and ``poison_ok(instr)`` lets the
+        instruction consume the invalid value (the controller's
+        ``treat_poison_as_ready``); an instruction is ready when all its
+        operands are.  Each entry memoises its first operand found not ready
+        (``DynInstr.block_op``), and later scans re-test only that operand,
+        under the same rule, until it becomes ready: one not-ready operand
+        makes the instruction not ready, so the skip gives the full scan's
+        answer.  Load/store port limits are enforced here.  Selected
+        instructions remain in the queue; the caller removes them once it
+        actually issues them.
         """
         entries = self._entries
         if not entries:
@@ -157,17 +113,25 @@ class IssueQueue:
                     continue
             elif instr.is_store and stores >= max_stores:
                 continue
+            # ``poisoned and`` first: outside runahead the set is empty, and
+            # testing that is cheaper than hashing the operand to look it up.
             block = instr.block_op
             if block is not None:
-                if not (fp_ready[block[1]] if block[0] else int_ready[block[1]]):
+                if not (
+                    (fp_ready[block[1]] if block[0] else int_ready[block[1]])
+                    or (poisoned and block in poisoned and poison_ok(instr))
+                ):
                     continue
                 instr.block_op = None
             ready = True
             for op in instr.src_ops:
-                if not (fp_ready[op[1]] if op[0] else int_ready[op[1]]):
-                    instr.block_op = op
-                    ready = False
-                    break
+                if fp_ready[op[1]] if op[0] else int_ready[op[1]]:
+                    continue
+                if poisoned and op in poisoned and poison_ok(instr):
+                    continue
+                instr.block_op = op
+                ready = False
+                break
             if not ready:
                 continue
             selected.append(instr)

@@ -14,6 +14,7 @@ from repro.workloads.trace import (
     ArchReg,
     MicroOp,
     Trace,
+    TraceSource,
     TraceStats,
     UopClass,
     FP_REG_BASE,
@@ -22,12 +23,8 @@ from repro.workloads.trace import (
 from repro.workloads.source import (
     FileTraceSource,
     GeneratorSource,
-    MaterializedTrace,
-    TraceSource,
     WindowedSource,
-    as_source,
     read_trace_header,
-    streaming_trace_stats,
     trace_file_digest,
     write_trace_file,
 )
@@ -53,18 +50,15 @@ __all__ = [
     "ArchReg",
     "MicroOp",
     "Trace",
+    "TraceSource",
     "TraceStats",
     "UopClass",
     "FP_REG_BASE",
     "NUM_ARCH_REGS",
     "FileTraceSource",
     "GeneratorSource",
-    "MaterializedTrace",
-    "TraceSource",
     "WindowedSource",
-    "as_source",
     "read_trace_header",
-    "streaming_trace_stats",
     "trace_file_digest",
     "write_trace_file",
     "WorkloadSpec",

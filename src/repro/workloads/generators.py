@@ -41,11 +41,13 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator
 
+from repro.workloads.source import GeneratorSource
 from repro.workloads.trace import (
     FP_REG_BASE,
     MicroOp,
     PCAllocator,
     Trace,
+    TraceSource,
     UopClass,
     uop_branch,
     uop_falu,
@@ -94,20 +96,18 @@ class WorkloadSpec:
         trace.name = self.name
         return trace
 
-    def source(self, **overrides: object):
-        """A lazy :class:`~repro.workloads.source.TraceSource` for this workload.
+    def source(self, **overrides: object) -> TraceSource:
+        """A lazy :class:`~repro.workloads.trace.TraceSource` for this workload.
 
-        Streams micro-ops on demand when the generator supports it, and falls
-        back to materialising the trace otherwise.  Either way the stream is
-        identical to :meth:`build`'s.
+        Streams micro-ops on demand when the generator supports it, and
+        returns the eager trace (itself a source) otherwise.  Either way the
+        stream is identical to :meth:`build`'s.
         """
-        from repro.workloads.source import GeneratorSource, MaterializedTrace
-
-        kwargs = dict(self.params)
-        kwargs.update(overrides)
         stream = getattr(self.generator, "stream", None)
         if stream is None:
-            return MaterializedTrace(self.generator(**kwargs), name=self.name)
+            return self.build(**overrides)
+        kwargs = dict(self.params)
+        kwargs.update(overrides)
         return GeneratorSource(stream, kwargs, name=self.name)
 
 

@@ -9,7 +9,7 @@ representative interval per cluster is selected with a weight proportional to
 its cluster's size.
 
 Selection works on *streams*: :meth:`SimPointSampler.select_source` profiles
-any :class:`~repro.workloads.source.TraceSource` in a single pass without
+any :class:`~repro.workloads.trace.TraceSource` in a single pass without
 materialising it, so arbitrarily long workloads can be sampled at O(intervals
 x unique PCs) memory.  The selected intervals drive execution through
 :class:`~repro.workloads.source.WindowedSource` (see
@@ -29,9 +29,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.workloads.trace import Trace
+from repro.workloads.trace import Trace, TraceSource
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,9 @@ class SimPointSampler:
             bounds.append((0, total))
         return bounds
 
-    def _profile_source(self, source) -> Tuple[List[Dict[int, int]], Dict[int, int], int]:
+    def _profile_source(
+        self, source: TraceSource
+    ) -> Tuple[List[Dict[int, int]], Dict[int, int], int]:
         """One streaming pass: per-interval PC counts, global PC index, length."""
         pcs: Dict[int, int] = {}
         interval_counts: List[Dict[int, int]] = []
@@ -128,7 +130,7 @@ class SimPointSampler:
         return intervals
 
     def select_source(
-        self, source: Union[Trace, "TraceSourceLike"]
+        self, source: TraceSource
     ) -> Tuple[List[SimPointInterval], int]:
         """Select representative intervals of any micro-op stream.
 
@@ -184,11 +186,6 @@ class SimPointSampler:
                 SimPointInterval(start=start, end=end, weight=len(members) / count)
             )
         return sorted(selected, key=lambda interval: interval.start), total
-
-
-#: Anything iterable over micro-ops (Trace or TraceSource); kept as a loose
-#: alias to avoid importing the source module here.
-TraceSourceLike = object
 
 
 def sample_trace(

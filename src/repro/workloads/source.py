@@ -1,14 +1,10 @@
-"""Streaming trace sources.
+"""Streaming trace sources and the recorded trace-file format.
 
-The simulator used to consume an eagerly-materialised :class:`~repro.workloads.trace.Trace`
-(an in-memory list of micro-ops), which caps workload size at RAM.  This
-module defines the :class:`TraceSource` protocol the core consumes instead —
-lazy iteration with a known-or-unknown length and reopen support for
-multi-variant runs — plus four implementations:
+An in-memory :class:`~repro.workloads.trace.Trace` caps workload size at RAM.
+The :class:`~repro.workloads.trace.TraceSource` subclasses here stream their
+micro-ops instead, with a known-or-unknown length and reopen support for
+multi-variant runs:
 
-* :class:`MaterializedTrace` — wraps an in-memory :class:`Trace`; the
-  backward-compatible path with full random access (bit-identical behaviour
-  to passing the ``Trace`` directly);
 * :class:`GeneratorSource` — produces micro-ops on demand from a workload
   generator function, so peak memory stays proportional to the core's
   in-flight window rather than the trace length;
@@ -19,10 +15,8 @@ multi-variant runs — plus four implementations:
   interval, which is how SimPoint intervals finally drive execution (see
   :func:`repro.simulation.simulator.run_simpoints`).
 
-The core never indexes a source directly; it reads through a *cursor*
-(:meth:`TraceSource.cursor`) that supports the bounded rewind pipeline
-flushes need (fetch restarts at the oldest uncommitted micro-op) while
-retaining only the micro-ops between the commit point and the fetch point.
+The core reads each of them, like a ``Trace``, through a
+:class:`~repro.workloads.trace.StreamingCursor`.
 """
 
 from __future__ import annotations
@@ -34,256 +28,17 @@ import json
 import os
 import struct
 import tempfile
-from collections import deque
-from itertools import islice
 from pathlib import Path
-from typing import Callable, Deque, Dict, Iterable, Iterator, Optional, Union
+from typing import Callable, Dict, Iterable, Iterator, Optional, Union
 
-from repro.workloads.trace import (
-    MicroOp,
-    Trace,
-    TraceStats,
-    UopClass,
-    compute_trace_stats,
-)
+from repro.workloads.trace import MicroOp, TraceSource, UopClass
 
 #: Stable on-disk ordering of :class:`UopClass` members (definition order).
 _CLASS_LIST = list(UopClass)
 _CLASS_INDEX = {uop_class: index for index, uop_class in enumerate(_CLASS_LIST)}
 
 
-# ------------------------------------------------------------------- protocol
-
-
-class TraceSource:
-    """A reopenable stream of micro-ops.
-
-    Subclasses implement :meth:`open` (a *fresh* iterator over the full
-    stream — calling it again restarts from the beginning, which is how one
-    source drives several variant runs) and may override :attr:`length` when
-    the micro-op count is known up front.  ``name`` identifies the workload in
-    experiment reports, exactly like :attr:`Trace.name`.
-    """
-
-    name: str = "anonymous"
-
-    def open(self) -> Iterator[MicroOp]:
-        """Return a fresh iterator over the full micro-op stream."""
-        raise NotImplementedError
-
-    def open_at(self, start: int) -> Iterator[MicroOp]:
-        """A fresh iterator positioned at micro-op index ``start``.
-
-        The default generates and discards the prefix; sources with cheaper
-        positioning (in-memory slicing, record-level skipping in trace files)
-        override this — it is the hot path of sharded replay, where every
-        shard's prefix is skipped, not simulated.
-        """
-        iterator = self.open()
-        for _ in range(start):
-            try:
-                next(iterator)
-            except StopIteration:
-                break
-        return iterator
-
-    def __iter__(self) -> Iterator[MicroOp]:
-        return self.open()
-
-    @property
-    def length(self) -> Optional[int]:
-        """Number of micro-ops in the stream, or ``None`` when unknown."""
-        return None
-
-    def cursor(self) -> "StreamingCursor":
-        """A windowed random-access reader over this source (one simulation's view)."""
-        return StreamingCursor(self)
-
-    def window(self, start: int, end: int, name: Optional[str] = None) -> "WindowedSource":
-        """A view of this source restricted to ``[start, end)``.
-
-        Convenience constructor for :class:`WindowedSource`, used by the
-        SimPoint and shard execution paths.
-        """
-        return WindowedSource(self, start, end, name=name)
-
-    def materialize(self) -> Trace:
-        """Fully read the stream into an in-memory :class:`Trace`."""
-        return Trace(self.open(), name=self.name)
-
-    def materialized(self) -> "MaterializedTrace":
-        """A random-access source backed by the fully-read stream."""
-        return MaterializedTrace(self.materialize())
-
-    def __repr__(self) -> str:
-        length = self.length
-        shown = length if length is not None else "?"
-        return f"{type(self).__name__}(name={self.name!r}, uops={shown})"
-
-
-def as_source(trace_or_source: Union[Trace, TraceSource]) -> TraceSource:
-    """Adapt a :class:`Trace` (or pass through a :class:`TraceSource`)."""
-    if isinstance(trace_or_source, TraceSource):
-        return trace_or_source
-    if isinstance(trace_or_source, Trace):
-        return MaterializedTrace(trace_or_source)
-    raise TypeError(
-        f"expected a Trace or TraceSource, got {type(trace_or_source).__name__}"
-    )
-
-
-# -------------------------------------------------------------------- cursors
-
-
-class StreamingCursor:
-    """Bounded-window random access over a streaming :class:`TraceSource`.
-
-    The simulator fetches mostly sequentially but must re-fetch after a
-    pipeline flush (runahead exit restarts at the stalling load).  The cursor
-    buffers every micro-op between a *trim floor* (the oldest index that can
-    still be re-fetched: the commit point, advanced via :meth:`trim`) and the
-    furthest index read so far, so rewinds inside that window are exact while
-    peak memory stays proportional to the in-flight window.
-    """
-
-    def __init__(self, source: TraceSource) -> None:
-        self.source = source
-        self._iter = source.open()
-        self._buffer: Deque[MicroOp] = deque()
-        self._base = 0
-        self._next = 0
-        self._total: Optional[int] = None
-        #: High-water mark of buffered micro-ops (exposed for memory tests).
-        self.peak_buffered = 0
-
-    @property
-    def known_length(self) -> Optional[int]:
-        """Total micro-op count, known once the underlying stream is exhausted."""
-        if self._total is not None:
-            return self._total
-        return self.source.length
-
-    def _fill_to(self, index: int) -> None:
-        while self._next <= index and self._total is None:
-            try:
-                uop = next(self._iter)
-            except StopIteration:
-                self._total = self._next
-                return
-            self._buffer.append(uop)
-            self._next += 1
-            if len(self._buffer) > self.peak_buffered:
-                self.peak_buffered = len(self._buffer)
-
-    def has(self, index: int) -> bool:
-        """Whether a micro-op exists at ``index`` (may read ahead to find out)."""
-        self._fill_to(index)
-        return index < self._next
-
-    def fetch(self, index: int) -> Optional[MicroOp]:
-        """The micro-op at ``index``, or ``None`` past the end of the stream.
-
-        Equivalent to ``has(index)`` followed by ``get(index)`` in one call —
-        the front-end's fetch loop runs this once per micro-op, so collapsing
-        the pair halves the per-uop cursor overhead.  ``index`` must be at or
-        above the trim floor (fetch never rewinds below the commit point).
-        """
-        if index >= self._next:
-            self._fill_to(index)
-            if index >= self._next:
-                return None
-        return self._buffer[index - self._base]
-
-    def get(self, index: int) -> MicroOp:
-        """The micro-op at ``index``; raises if trimmed away or past the end."""
-        if index < self._base:
-            raise IndexError(
-                f"trace index {index} was trimmed (retained window starts at {self._base}); "
-                "the core only rewinds to uncommitted micro-ops"
-            )
-        self._fill_to(index)
-        if index >= self._next:
-            raise IndexError(f"trace index {index} is past the end of {self.source!r}")
-        return self._buffer[index - self._base]
-
-    def trim(self, floor: int) -> None:
-        """Drop retained micro-ops below ``floor`` (the commit point)."""
-        buffer = self._buffer
-        base = self._base
-        while base < floor and buffer:
-            buffer.popleft()
-            base += 1
-        self._base = base
-
-    def describe(self) -> str:
-        """Human-readable position summary for diagnostics."""
-        total = self.known_length
-        return f"{self._next}/{total if total is not None else '?'}"
-
-
-class MaterializedCursor(StreamingCursor):
-    """Zero-copy cursor over an in-memory trace (the fast compatibility path)."""
-
-    def __init__(self, source: "MaterializedTrace") -> None:
-        self.source = source
-        self._uops = source.trace._uops
-        self.peak_buffered = 0
-
-    @property
-    def known_length(self) -> Optional[int]:
-        return len(self._uops)
-
-    def has(self, index: int) -> bool:
-        return index < len(self._uops)
-
-    def fetch(self, index: int) -> Optional[MicroOp]:
-        uops = self._uops
-        return uops[index] if index < len(uops) else None
-
-    def get(self, index: int) -> MicroOp:
-        return self._uops[index]
-
-    def trim(self, floor: int) -> None:
-        pass
-
-    def describe(self) -> str:
-        return f"{len(self._uops)}/{len(self._uops)}"
-
-
 # -------------------------------------------------------------- implementations
-
-
-class MaterializedTrace(TraceSource):
-    """A :class:`TraceSource` backed by an in-memory :class:`Trace`.
-
-    This is the backward-compatibility wrapper: passing a ``Trace`` anywhere a
-    source is expected wraps it in one of these, and behaviour (including
-    random access for controllers that need a whole-trace oracle) is exactly
-    the pre-streaming behaviour.
-    """
-
-    def __init__(self, trace: Trace, name: Optional[str] = None) -> None:
-        self.trace = trace
-        self.name = name or trace.name
-
-    def open(self) -> Iterator[MicroOp]:
-        return iter(self.trace)
-
-    def open_at(self, start: int) -> Iterator[MicroOp]:
-        return islice(iter(self.trace), start, None)
-
-    @property
-    def length(self) -> Optional[int]:
-        return len(self.trace)
-
-    def cursor(self) -> StreamingCursor:
-        return MaterializedCursor(self)
-
-    def materialize(self) -> Trace:
-        return self.trace
-
-    def materialized(self) -> "MaterializedTrace":
-        return self
 
 
 class GeneratorSource(TraceSource):
@@ -553,7 +308,7 @@ class TraceFileError(ValueError):
 
 def write_trace_file(
     path: Union[str, Path],
-    uops: Union[Trace, TraceSource, Iterable[MicroOp]],
+    uops: Union[TraceSource, Iterable[MicroOp]],
     name: Optional[str] = None,
 ) -> int:
     """Record ``uops`` into the compressed trace file at ``path``.
@@ -664,30 +419,12 @@ class FileTraceSource(TraceSource):
         return _records()
 
 
-# ------------------------------------------------------------------ utilities
-
-
-def streaming_trace_stats(source: Union[Trace, TraceSource]) -> TraceStats:
-    """Compute :class:`TraceStats` in one pass without materialising the stream.
-
-    Same classification rules as :meth:`Trace.stats` — both delegate to
-    :func:`~repro.workloads.trace.compute_trace_stats`.
-    """
-    return compute_trace_stats(as_source(source))
-
-
 __all__ = [
     "FileTraceSource",
     "GeneratorSource",
-    "MaterializedCursor",
-    "MaterializedTrace",
-    "StreamingCursor",
     "TraceFileError",
-    "TraceSource",
     "WindowedSource",
-    "as_source",
     "read_trace_header",
-    "streaming_trace_stats",
     "trace_file_digest",
     "write_trace_file",
 ]

@@ -30,8 +30,7 @@ from repro.workloads.generators import (
     random_access_kernel,
     strided_stream,
 )
-from repro.workloads.source import TraceSource
-from repro.workloads.trace import Trace
+from repro.workloads.trace import Trace, TraceSource
 
 
 @dataclass(frozen=True)

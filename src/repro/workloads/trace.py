@@ -1,10 +1,17 @@
-"""Micro-op and trace definitions.
+"""Micro-ops, traces and the stream protocol the simulator reads them through.
 
-The simulator is trace driven: a :class:`Trace` is the *dynamic* stream of
-micro-ops a program executes, in program order.  Each :class:`MicroOp` carries
-everything the timing model needs — program counter, operation class, source
-and destination architectural registers, the effective memory address for
+The simulator is trace driven: a trace is the *dynamic* stream of micro-ops a
+program executes, in program order.  Each :class:`MicroOp` carries everything
+the timing model needs — program counter, operation class, source and
+destination architectural registers, the effective memory address for
 loads/stores, and branch direction/target for branches.
+
+Every stream is a :class:`TraceSource`: a reopenable iterator with a
+known-or-unknown length.  :class:`Trace` is the in-memory, list-backed one;
+:mod:`repro.workloads.source` holds the streaming ones (generators, recorded
+trace files, windows).  The core reads any of them through one
+:class:`StreamingCursor`, which retains only the micro-ops between the commit
+point and the fetch point.
 
 Register name space
 -------------------
@@ -21,8 +28,10 @@ A destination of ``None`` means the micro-op produces no register value
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Deque, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 #: Number of architectural registers visible to the RAT (Section 3.6: 64-entry RAT).
 NUM_ARCH_REGS = 64
@@ -243,9 +252,8 @@ class TraceStats:
 def compute_trace_stats(uops: Iterable[MicroOp]) -> TraceStats:
     """Composition summary of any micro-op stream, in one pass.
 
-    Shared by :meth:`Trace.stats` and the streaming sources
-    (:func:`repro.workloads.source.streaming_trace_stats`), so both report
-    identical numbers from one classification rule set.
+    The rule set behind :meth:`TraceSource.stats`, which every trace, in
+    memory or streamed, reports through.
     """
     stats = TraceStats()
     pcs = set()
@@ -273,11 +281,152 @@ def compute_trace_stats(uops: Iterable[MicroOp]) -> TraceStats:
     return stats
 
 
-class Trace:
-    """A dynamic micro-op stream.
+class TraceSource:
+    """A reopenable stream of micro-ops.
 
-    A trace behaves like an immutable sequence of :class:`MicroOp` objects and
-    carries a human-readable name used in experiment reports.
+    Subclasses implement :meth:`open` (a *fresh* iterator over the full
+    stream — calling it again restarts from the beginning, which is how one
+    source drives several variant runs) and may override :attr:`length` when
+    the micro-op count is known up front.  ``name`` identifies the workload in
+    experiment reports.
+    """
+
+    name: str = "anonymous"
+
+    def open(self) -> Iterator[MicroOp]:
+        """Return a fresh iterator over the full micro-op stream."""
+        raise NotImplementedError
+
+    def open_at(self, start: int) -> Iterator[MicroOp]:
+        """A fresh iterator positioned at micro-op index ``start``.
+
+        The default generates and discards the prefix; sources with cheaper
+        positioning (in-memory slicing, record-level skipping in trace files)
+        override this — it is the hot path of sharded replay, where every
+        shard's prefix is skipped, not simulated.
+        """
+        iterator = self.open()
+        for _ in range(start):
+            try:
+                next(iterator)
+            except StopIteration:
+                break
+        return iterator
+
+    def __iter__(self) -> Iterator[MicroOp]:
+        return self.open()
+
+    @property
+    def length(self) -> Optional[int]:
+        """Number of micro-ops in the stream, or ``None`` when unknown."""
+        return None
+
+    def cursor(self) -> "StreamingCursor":
+        """A windowed random-access reader over this source (one simulation's view)."""
+        return StreamingCursor(self)
+
+    def materialize(self) -> "Trace":
+        """Fully read the stream into an in-memory :class:`Trace`."""
+        return Trace(self.open(), name=self.name)
+
+    def stats(self) -> TraceStats:
+        """Composition summary of the stream, in one pass over a fresh iterator."""
+        return compute_trace_stats(self.open())
+
+    def __repr__(self) -> str:
+        length = self.length
+        shown = length if length is not None else "?"
+        return f"{type(self).__name__}(name={self.name!r}, uops={shown})"
+
+
+class StreamingCursor:
+    """Bounded-window random access over a :class:`TraceSource`.
+
+    The simulator fetches mostly sequentially but must re-fetch after a
+    pipeline flush (runahead exit restarts at the stalling load).  The cursor
+    buffers every micro-op between a *trim floor* (the oldest index that can
+    still be re-fetched: the commit point, advanced via :meth:`trim`) and the
+    furthest index read so far, so rewinds inside that window are exact while
+    peak memory stays proportional to the in-flight window.
+    """
+
+    def __init__(self, source: TraceSource) -> None:
+        self.source = source
+        self._iter = source.open()
+        self._buffer: Deque[MicroOp] = deque()
+        self._base = 0
+        self._next = 0
+        self._total: Optional[int] = None
+        #: High-water mark of buffered micro-ops (exposed for memory tests).
+        self.peak_buffered = 0
+
+    @property
+    def known_length(self) -> Optional[int]:
+        """Total micro-op count, known once the underlying stream is exhausted."""
+        if self._total is not None:
+            return self._total
+        return self.source.length
+
+    def _fill_to(self, index: int) -> None:
+        while self._next <= index and self._total is None:
+            try:
+                uop = next(self._iter)
+            except StopIteration:
+                self._total = self._next
+                return
+            self._buffer.append(uop)
+            self._next += 1
+            if len(self._buffer) > self.peak_buffered:
+                self.peak_buffered = len(self._buffer)
+
+    def has(self, index: int) -> bool:
+        """Whether a micro-op exists at ``index`` (may read ahead to find out)."""
+        self._fill_to(index)
+        return index < self._next
+
+    def fetch(self, index: int) -> Optional[MicroOp]:
+        """The micro-op at ``index``, or ``None`` past the end of the stream.
+
+        Equivalent to ``has(index)`` followed by ``get(index)`` in one call —
+        the front-end's fetch loop runs this once per micro-op, so collapsing
+        the pair halves the per-uop cursor overhead.  Raises
+        :class:`IndexError` below the trim floor (the core never rewinds past
+        the commit point); only a re-read of buffered micro-ops checks it.
+        """
+        if index >= self._next:
+            self._fill_to(index)
+            if index >= self._next:
+                return None
+        elif index < self._base:
+            raise IndexError(
+                f"trace index {index} was trimmed (retained window starts at {self._base}); "
+                "the core only rewinds to uncommitted micro-ops"
+            )
+        return self._buffer[index - self._base]
+
+    def get(self, index: int) -> MicroOp:
+        """The micro-op at ``index``; raises if trimmed away or past the end."""
+        uop = self.fetch(index)
+        if uop is None:
+            raise IndexError(f"trace index {index} is past the end of {self.source!r}")
+        return uop
+
+    def trim(self, floor: int) -> None:
+        """Drop retained micro-ops below ``floor`` (the commit point)."""
+        buffer = self._buffer
+        base = self._base
+        while base < floor and buffer:
+            buffer.popleft()
+            base += 1
+        self._base = base
+
+
+class Trace(TraceSource):
+    """An in-memory micro-op stream: the list-backed :class:`TraceSource`.
+
+    A trace behaves like an immutable sequence of :class:`MicroOp` objects
+    (length, indexing, slicing) and carries a human-readable name used in
+    experiment reports.
     """
 
     def __init__(self, uops: Iterable[MicroOp], name: str = "anonymous") -> None:
@@ -287,25 +436,28 @@ class Trace:
     def __len__(self) -> int:
         return len(self._uops)
 
-    def __iter__(self) -> Iterator[MicroOp]:
-        return iter(self._uops)
-
     def __getitem__(self, index):
         if isinstance(index, slice):
             return Trace(self._uops[index], name=f"{self.name}[{index.start}:{index.stop}]")
         return self._uops[index]
 
-    def __repr__(self) -> str:
-        return f"Trace(name={self.name!r}, uops={len(self._uops)})"
+    def open(self) -> Iterator[MicroOp]:
+        return iter(self._uops)
+
+    def open_at(self, start: int) -> Iterator[MicroOp]:
+        return islice(self._uops, start, None)
+
+    @property
+    def length(self) -> int:
+        return len(self._uops)
+
+    def materialize(self) -> "Trace":
+        return self
 
     @property
     def uops(self) -> Sequence[MicroOp]:
         """The underlying micro-op sequence (read-only view)."""
         return tuple(self._uops)
-
-    def stats(self) -> TraceStats:
-        """Compute a static composition summary of the trace."""
-        return compute_trace_stats(self._uops)
 
     def concat(self, other: "Trace", name: Optional[str] = None) -> "Trace":
         """Return a new trace that is this trace followed by ``other``."""

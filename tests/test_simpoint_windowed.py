@@ -12,7 +12,7 @@ from repro.simulation.simulator import (
 )
 from repro.workloads.generators import multi_slice_kernel, strided_stream
 from repro.workloads.simpoint import SimPointSampler, sample_trace
-from repro.workloads.source import GeneratorSource, MaterializedTrace
+from repro.workloads.source import GeneratorSource
 
 
 def profile_trace():
@@ -77,7 +77,7 @@ class TestSelectSource:
 
     def test_weights_sum_to_one(self):
         intervals, _ = SimPointSampler(interval_size=500, max_clusters=3).select_source(
-            MaterializedTrace(profile_trace())
+            profile_trace()
         )
         assert sum(i.weight for i in intervals) == pytest.approx(1.0)
 

@@ -9,18 +9,13 @@ from repro.workloads.generators import multi_slice_kernel, strided_stream
 from repro.workloads.source import (
     FileTraceSource,
     GeneratorSource,
-    MaterializedCursor,
-    MaterializedTrace,
-    StreamingCursor,
     TraceFileError,
     WindowedSource,
-    as_source,
     read_trace_header,
-    streaming_trace_stats,
     trace_file_digest,
     write_trace_file,
 )
-from repro.workloads.trace import MicroOp, Trace, UopClass
+from repro.workloads.trace import MicroOp, StreamingCursor, Trace, TraceSource, UopClass
 
 
 def small_trace():
@@ -28,21 +23,14 @@ def small_trace():
 
 
 class TestProtocol:
-    def test_as_source_wraps_traces(self):
+    def test_trace_is_a_source(self):
         trace = small_trace()
-        source = as_source(trace)
-        assert isinstance(source, MaterializedTrace)
-        assert source.name == trace.name
-        assert source.length == len(trace)
-        assert list(source) == list(trace)
-
-    def test_as_source_passes_sources_through(self):
-        source = MaterializedTrace(small_trace())
-        assert as_source(source) is source
-
-    def test_as_source_rejects_other_types(self):
-        with pytest.raises(TypeError):
-            as_source([1, 2, 3])
+        assert isinstance(trace, TraceSource)
+        assert trace.length == len(trace)
+        assert list(trace.open()) == list(trace.uops)
+        assert list(trace.open_at(150)) == list(trace.uops)[150:]
+        assert trace.materialize() is trace
+        assert repr(trace) == f"Trace(name={trace.name!r}, uops={len(trace)})"
 
     def test_open_restarts_from_the_beginning(self):
         source = GeneratorSource(strided_stream.stream, {"num_uops": 120})
@@ -90,14 +78,29 @@ class TestGeneratorSource:
 class TestCursors:
     def test_materialized_cursor_is_randomly_accessible(self):
         trace = small_trace()
-        cursor = MaterializedTrace(trace).cursor()
-        assert isinstance(cursor, MaterializedCursor)
+        cursor = trace.cursor()
+        assert type(cursor) is StreamingCursor
         assert cursor.known_length == len(trace)
-        assert cursor.get(0) == trace[0]
         assert cursor.get(len(trace) - 1) == trace[len(trace) - 1]
-        assert not cursor.has(len(trace))
-        cursor.trim(100)  # no-op
+        # Every untrimmed index stays readable, in any order.
         assert cursor.get(0) == trace[0]
+        assert cursor.fetch(200) == trace[200]
+        assert not cursor.has(len(trace))
+        assert cursor.fetch(len(trace)) is None
+
+    def test_fetch_below_the_trim_floor_raises(self):
+        trace = small_trace()
+        source = GeneratorSource(strided_stream.stream, {"num_uops": 400})
+        cursor = StreamingCursor(source)
+        for index in range(50):
+            assert cursor.fetch(index) == trace[index]
+        cursor.trim(40)
+        assert cursor.fetch(40) == trace[40]
+        assert cursor.fetch(49) == trace[49]
+        with pytest.raises(IndexError):
+            cursor.fetch(39)
+        with pytest.raises(IndexError):
+            cursor.get(39)
 
     def test_streaming_cursor_rewinds_within_retained_window(self):
         trace = small_trace()
@@ -125,21 +128,20 @@ class TestCursors:
 class TestWindowedSource:
     def test_window_equals_trace_slice(self):
         trace = small_trace()
-        base = MaterializedTrace(trace)
-        window = WindowedSource(base, 100, 250)
+        window = WindowedSource(trace, 100, 250)
         assert list(window) == list(trace)[100:250]
         assert window.length == 150
         assert "[100:250]" in window.name
 
     def test_window_clamps_to_stream_end(self):
-        base = MaterializedTrace(small_trace())
+        base = small_trace()
         total = base.length
         window = WindowedSource(base, total - 10, total + 50)
         assert len(list(window)) == 10
         assert window.length == 10
 
     def test_invalid_window_rejected(self):
-        base = MaterializedTrace(small_trace())
+        base = small_trace()
         with pytest.raises(ValueError):
             WindowedSource(base, 50, 10)
 
@@ -218,7 +220,7 @@ class TestTraceFile:
         trace = multi_slice_kernel(num_uops=800)
         path = tmp_path / "m.trc"
         write_trace_file(path, trace)
-        streamed = streaming_trace_stats(FileTraceSource(path))
+        streamed = FileTraceSource(path).stats()
         assert streamed == trace.stats()
 
 
@@ -234,11 +236,18 @@ class TestStreamingEquivalence:
             assert streamed.stats.to_dict() == eager.stats.to_dict(), name
             assert streamed.energy.to_dict() == eager.energy.to_dict(), name
 
-    def test_oracle_variant_materializes_streaming_sources(self):
-        trace = strided_stream(num_uops=1_500)
-        source = GeneratorSource(
-            strided_stream.stream, {"num_uops": 1_500}, name=trace.name
-        )
+    @pytest.mark.parametrize("kind", ["generator", "file", "window"])
+    def test_oracle_variant_materializes_sources(self, kind, tmp_path):
+        trace = build_workload("milc", num_uops=800)
+        if kind == "generator":
+            source = build_workload_source("milc", num_uops=800)
+        elif kind == "file":
+            write_trace_file(tmp_path / "milc.trc", trace)
+            source = FileTraceSource(tmp_path / "milc.trc")
+        else:
+            padded = build_workload_source("milc", num_uops=1_000)
+            source = WindowedSource(padded, 0, len(trace), name=trace.name)
+        assert not isinstance(source, Trace)
         eager = run_simulation(trace, SimulationRequest(variant="runahead_buffer"))
         streamed = run_simulation(source, SimulationRequest(variant="runahead_buffer"))
         assert streamed.stats.to_dict() == eager.stats.to_dict()
@@ -258,7 +267,6 @@ class TestStreamingMemory:
         assert stats.committed_uops >= num_uops
         cursor = core.frontend.cursor
         assert isinstance(cursor, StreamingCursor)
-        assert not isinstance(cursor, MaterializedCursor)
         # The retained window never grew past the in-flight machine state —
         # three orders of magnitude below the trace length.
         assert cursor.peak_buffered < 5_000

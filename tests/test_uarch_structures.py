@@ -1,6 +1,7 @@
 """Unit tests for the core's pipeline structures (RF, RAT, ROB, IQ, LSQ, branch, frontend)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.uarch.branch import GShareBranchPredictor
 from repro.uarch.config import CoreConfig
@@ -140,6 +141,81 @@ class TestROB:
         assert rob.is_empty
 
 
+def no_poison(instr):
+    return False
+
+
+def select(iq, cycle, width=4, ready=(True,) * 4, max_loads=2, max_stores=1):
+    """``select_ready`` with nothing poisoned; ``ready`` serves both banks."""
+    ready = list(ready)
+    return iq.select_ready(cycle, width, ready, ready, max_loads, max_stores, set(), no_poison)
+
+
+def reference_select(
+    entries, cycle, width, int_ready, fp_ready, max_loads, max_stores, poisoned, poison_ok
+):
+    """The readiness rule tested operand by operand, with no memo."""
+    selected = []
+    loads = stores = 0
+    for instr in sorted(entries, key=lambda entry: entry.seq):
+        if instr.earliest_issue_cycle > cycle:
+            continue
+        if (instr.is_load and loads >= max_loads) or (instr.is_store and stores >= max_stores):
+            continue
+        if not all(
+            (fp_ready if is_fp else int_ready)[preg]
+            or ((is_fp, preg) in poisoned and poison_ok(instr))
+            for is_fp, preg in instr.src_ops
+        ):
+            continue
+        selected.append(instr)
+        if len(selected) >= width:
+            break
+        loads += instr.is_load
+        stores += instr.is_store
+    return selected
+
+
+#: Few registers per bank, so operands collide and memos get re-tested.
+NUM_PREGS = 2
+OPERANDS = st.tuples(st.booleans(), st.integers(0, NUM_PREGS - 1))
+BITS = st.lists(st.booleans(), min_size=NUM_PREGS, max_size=NUM_PREGS)
+ALL_OPERANDS = [(is_fp, preg) for is_fp in (False, True) for preg in range(NUM_PREGS)]
+POISONED = st.lists(
+    st.booleans(), min_size=len(ALL_OPERANDS), max_size=len(ALL_OPERANDS)
+).map(lambda bits: {op for op, bit in zip(ALL_OPERANDS, bits) if bit})
+
+ENTRY = st.fixed_dictionaries(
+    {
+        "kind": st.sampled_from([UopClass.IALU, UopClass.LOAD, UopClass.STORE]),
+        "src_ops": st.lists(OPERANDS, max_size=3),
+        "earliest": st.integers(0, 2),
+        "runahead": st.booleans(),
+    }
+)
+
+CALL = st.fixed_dictionaries(
+    {
+        "cycle": st.integers(0, 3),
+        "width": st.integers(1, 4),
+        "int_ready": BITS,
+        "fp_ready": BITS,
+        "max_loads": st.integers(0, 2),
+        "max_stores": st.integers(0, 2),
+        "poisoned": POISONED,
+        "remove_selected": st.booleans(),
+    }
+)
+
+#: Who may consume a poisoned operand: nobody (nothing is poisoned), every
+#: instruction (traditional runahead), or runahead micro-ops only (PRE).
+POLICIES = {
+    "none": no_poison,
+    "ra": lambda instr: True,
+    "pre": lambda instr: instr.runahead,
+}
+
+
 class TestIssueQueue:
     def test_select_oldest_first_with_width(self):
         iq = IssueQueue(capacity=8)
@@ -147,7 +223,7 @@ class TestIssueQueue:
             instr = make_instr(seq)
             instr.earliest_issue_cycle = 0
             iq.insert(instr)
-        picked = iq.select_ready(0, width=2, is_ready=lambda i: True, max_loads=2, max_stores=1)
+        picked = select(iq, 0, width=2)
         assert [instr.seq for instr in picked] == [1, 3]
 
     def test_port_limits(self):
@@ -156,23 +232,62 @@ class TestIssueQueue:
             instr = make_instr(seq, uop_class=UopClass.LOAD, addr=64 * seq, dst=1)
             instr.earliest_issue_cycle = 0
             iq.insert(instr)
-        picked = iq.select_ready(0, width=4, is_ready=lambda i: True, max_loads=2, max_stores=1)
+        picked = select(iq, 0, width=4, max_loads=2)
         assert len(picked) == 2
 
     def test_not_ready_filtered(self):
         iq = IssueQueue()
         instr = make_instr(0)
+        instr.src_ops = ((False, 1),)
         instr.earliest_issue_cycle = 0
         iq.insert(instr)
-        assert iq.select_ready(0, 4, lambda i: False, 2, 1) == []
+        assert select(iq, 0, ready=(True, False, True, True)) == []
+        assert select(iq, 0) == [instr]
 
     def test_earliest_issue_cycle_respected(self):
         iq = IssueQueue()
         instr = make_instr(0)
         instr.earliest_issue_cycle = 10
         iq.insert(instr)
-        assert iq.select_ready(5, 4, lambda i: True, 2, 1) == []
-        assert iq.select_ready(10, 4, lambda i: True, 2, 1) == [instr]
+        assert select(iq, 5) == []
+        assert select(iq, 10) == [instr]
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    @settings(max_examples=150, deadline=None)
+    @given(
+        entries=st.lists(ENTRY, min_size=1, max_size=8),
+        order=st.randoms(use_true_random=False),
+        calls=st.lists(CALL, min_size=2, max_size=8),
+    )
+    def test_select_ready_matches_memo_free_reference(self, policy, entries, order, calls):
+        poison_ok = POLICIES[policy]
+        seqs = list(range(len(entries)))
+        order.shuffle(seqs)  # out-of-order inserts exercise the lazy sort
+        iq = IssueQueue(capacity=len(entries))
+        for seq, entry in zip(seqs, entries):
+            kind = entry["kind"]
+            instr = make_instr(
+                seq,
+                uop_class=kind,
+                dst=None if kind is UopClass.STORE else 1,
+                addr=64 * seq if kind is not UopClass.IALU else None,
+            )
+            instr.src_ops = tuple(entry["src_ops"])
+            instr.earliest_issue_cycle = entry["earliest"]
+            instr.runahead = entry["runahead"]
+            iq.insert(instr)
+        for call in calls:
+            poisoned = set() if policy == "none" else call["poisoned"]
+            args = (
+                call["cycle"], call["width"], call["int_ready"], call["fp_ready"],
+                call["max_loads"], call["max_stores"], poisoned, poison_ok,
+            )
+            expected = reference_select(list(iq), *args)
+            picked = iq.select_ready(*args)
+            assert picked == expected
+            if call["remove_selected"]:
+                for instr in picked:
+                    iq.remove(instr)
 
     def test_squash_predicate(self):
         iq = IssueQueue()
