@@ -162,6 +162,19 @@ def _parse_co_runners(pairs: Sequence[str]):
     return MultiCoreSpec(cores=cores)
 
 
+def _engine(args: argparse.Namespace) -> ExperimentEngine:
+    """The engine of a command with the shared ``--workers``/``--cache-dir``."""
+    return ExperimentEngine(workers=args.workers, cache_dir=args.cache_dir)
+
+
+def _print_done(total: int, simulated: int, cached: int) -> None:
+    """The accounting line every engine-running command ends with."""
+    print(
+        f"done: {total} cells, {simulated} simulated, {cached} from cache\n",
+        file=sys.stderr,
+    )
+
+
 def _print_comparison(comparison, figure: str) -> None:
     if figure in ("2", "all"):
         print(format_performance_figure(comparison))
@@ -209,7 +222,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         probes=list(args.probe or []),
         multicore=multicore,
     )
-    engine = ExperimentEngine(workers=args.workers, cache_dir=args.cache_dir)
+    engine = _engine(args)
     print(
         f"sweeping {len(workloads)} benchmarks x {len(spec.resolved_variants())} variants "
         f"({args.uops} micro-ops each, {args.workers} worker(s)"
@@ -222,11 +235,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     result = engine.run_sweep(spec)
     stats = engine.last_run_stats
-    print(
-        f"done: {stats.total_jobs} cells, {stats.simulated} simulated, "
-        f"{stats.cache_hits} from cache\n",
-        file=sys.stderr,
-    )
+    _print_done(stats.total_jobs, stats.simulated, stats.cache_hits)
     _print_comparison(result.comparison, args.figure)
     if args.output:
         write_json(args.output, result.to_dict())
@@ -279,7 +288,7 @@ def _cmd_trace_replay(args: argparse.Namespace) -> int:
         return _trace_replay_sharded(args, variants)
     if args.warmup_uops:
         raise BadSpecError("--warmup-uops only applies to sharded replay (--shards N)")
-    engine = ExperimentEngine(workers=args.workers, cache_dir=args.cache_dir)
+    engine = _engine(args)
     sources = [FileTraceSource(path) for path in args.traces]
     names = [source.name for source in sources]
     print(
@@ -302,11 +311,7 @@ def _cmd_trace_replay(args: argparse.Namespace) -> int:
     ]
     comparison = assemble_comparison(names, variants, engine.run_jobs(jobs))
     stats = engine.last_run_stats
-    print(
-        f"done: {stats.total_jobs} cells, {stats.simulated} simulated, "
-        f"{stats.cache_hits} from cache\n",
-        file=sys.stderr,
-    )
+    _print_done(stats.total_jobs, stats.simulated, stats.cache_hits)
     _print_comparison(comparison, args.figure)
     if args.output:
         write_json(args.output, comparison.to_dict())
@@ -320,7 +325,7 @@ def _trace_replay_sharded(args: argparse.Namespace, variants: List[str]) -> int:
 
     if args.shards < 1:
         raise BadSpecError(f"--shards must be >= 1, got {args.shards}")
-    engine = ExperimentEngine(workers=args.workers, cache_dir=args.cache_dir)
+    engine = _engine(args)
     sources = [FileTraceSource(path) for path in args.traces]
     names = [source.name for source in sources]
     print(
@@ -361,11 +366,7 @@ def _trace_replay_sharded(args: argparse.Namespace, variants: List[str]) -> int:
                 f"{result.stitched_ipc:8.3f}  {'yes' if result.exact else 'no'}"
             )
         output[source.name] = per_variant
-    print(
-        f"done: {total_jobs} cells, {simulated} simulated, "
-        f"{cache_hits} from cache\n",
-        file=sys.stderr,
-    )
+    _print_done(total_jobs, simulated, cache_hits)
     if args.output:
         write_json(args.output, output)
         print(f"\nsharded results written to {args.output}", file=sys.stderr)
@@ -411,15 +412,10 @@ def _cmd_study_run(args: argparse.Namespace) -> int:
             else None
         ),
     )
-    engine = ExperimentEngine(workers=args.workers, cache_dir=args.cache_dir)
     result = run_study(
-        spec, engine=engine, progress=lambda line: print(line, file=sys.stderr)
+        spec, engine=_engine(args), progress=lambda line: print(line, file=sys.stderr)
     )
-    print(
-        f"done: {result.total_jobs} cells, {result.simulated} simulated, "
-        f"{result.cache_hits} from cache\n",
-        file=sys.stderr,
-    )
+    _print_done(result.total_jobs, result.simulated, result.cache_hits)
     print(format_study_markdown(result))
     if args.output:
         write_json(args.output, result.to_dict())
@@ -455,7 +451,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         cache_dir=args.cache_dir,
         max_queue=args.max_queue,
-        max_concurrent=args.max_concurrent,
         max_cache_bytes=args.max_cache_bytes,
         retry_after=args.retry_after,
         lease_ttl=args.lease_ttl,
@@ -651,44 +646,69 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Flags shared by several subcommands, each defined once.
+    engine_flags = argparse.ArgumentParser(add_help=False)
+    engine_flags.add_argument(
+        "--workers", type=int, default=1,
+        help="worker processes (1 = serial; results are identical either way)",
+    )
+    engine_flags.add_argument(
+        "--cache-dir", default=None,
+        help="result-cache directory, keyed by content; re-runs only simulate "
+             "changed cells (serve default: STATE_DIR/cache)",
+    )
+    cell_flags = argparse.ArgumentParser(add_help=False)
+    cell_flags.add_argument(
+        "--variants", default="all",
+        help="comma-separated variant names, or 'all' (the baseline is always added)",
+    )
+    cell_flags.add_argument(
+        "--max-cycles", type=int, default=None,
+        help="optional per-simulation cycle budget",
+    )
+    cell_flags.add_argument(
+        "--probe", action="append", metavar="NAME",
+        help="attach an instrumentation probe to every cell (repeatable); "
+             "see 'python -m repro list'",
+    )
+    figure_flag = argparse.ArgumentParser(add_help=False)
+    figure_flag.add_argument(
+        "--figure", choices=("2", "3", "summary", "all"), default="all",
+        help="which figure/table to print (default: all)",
+    )
+    service_url = argparse.ArgumentParser(add_help=False)
+    service_url.add_argument(
+        "--url", default=DEFAULT_SERVICE_URL,
+        help=f"service base URL (default: {DEFAULT_SERVICE_URL})",
+    )
+    cache_target = argparse.ArgumentParser(add_help=False)
+    cache_target.add_argument(
+        "--cache-dir", default=None, help="local result-cache directory"
+    )
+    cache_target.add_argument(
+        "--url", default=None, help="a running service's base URL instead"
+    )
+
     sub_list = sub.add_parser("list", help="list registered workloads and variants")
     sub_list.set_defaults(func=_cmd_list)
 
-    sub_sweep = sub.add_parser("sweep", help="run a benchmarks x variants sweep")
+    sub_sweep = sub.add_parser(
+        "sweep",
+        parents=[engine_flags, cell_flags, figure_flag],
+        help="run a benchmarks x variants sweep",
+    )
     sub_sweep.add_argument(
         "--benchmarks",
         default=",".join(DEFAULT_GOLDEN_WORKLOADS),
         help="comma-separated workload names, or 'all' for the full suite",
     )
     sub_sweep.add_argument(
-        "--variants",
-        default="all",
-        help="comma-separated variant names, or 'all' (the baseline is always added)",
-    )
-    sub_sweep.add_argument(
         "--uops", type=int, default=5_000,
         help="micro-ops per benchmark trace (default: 5000)",
     )
     sub_sweep.add_argument(
-        "--max-cycles", type=int, default=None,
-        help="optional per-simulation cycle budget",
-    )
-    sub_sweep.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes (1 = serial; results are identical either way)",
-    )
-    sub_sweep.add_argument(
-        "--cache-dir", default=None,
-        help="result-cache directory; re-runs only simulate changed cells",
-    )
-    sub_sweep.add_argument(
         "--set", action="append", metavar="KEY=VALUE",
         help="CoreConfig override (repeatable), e.g. --set rob_size=256",
-    )
-    sub_sweep.add_argument(
-        "--probe", action="append", metavar="NAME",
-        help="attach an instrumentation probe to every cell (repeatable); "
-             "see 'python -m repro list'",
     )
     sub_sweep.add_argument(
         "--co-runner", action="append", metavar="WORKLOAD[:VARIANT]",
@@ -700,20 +720,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", default=None,
         help="write the full sweep result as JSON for 'python -m repro report'",
     )
-    sub_sweep.add_argument(
-        "--figure", choices=("2", "3", "summary", "all"), default="all",
-        help="which figure/table to print (default: all)",
-    )
     sub_sweep.set_defaults(func=_cmd_sweep)
 
     sub_report = sub.add_parser(
-        "report", help="render figures from a saved sweep result"
+        "report", parents=[figure_flag],
+        help="render figures from a saved sweep result",
     )
     sub_report.add_argument("result", help="JSON file written by 'sweep --output'")
-    sub_report.add_argument(
-        "--figure", choices=("2", "3", "summary", "all"), default="all",
-        help="which figure/table to print (default: all)",
-    )
     sub_report.set_defaults(func=_cmd_report)
 
     sub_trace = sub.add_parser(
@@ -750,30 +763,12 @@ def build_parser() -> argparse.ArgumentParser:
     trace_info.set_defaults(func=_cmd_trace_info)
 
     trace_replay = trace_sub.add_parser(
-        "replay", help="simulate recorded trace files through the engine"
+        "replay",
+        parents=[engine_flags, cell_flags, figure_flag],
+        help="simulate recorded trace files through the engine",
     )
     trace_replay.add_argument(
         "traces", nargs="+", help="trace files written by 'trace record'"
-    )
-    trace_replay.add_argument(
-        "--variants", default="all",
-        help="comma-separated variant names, or 'all' (the baseline is always added)",
-    )
-    trace_replay.add_argument(
-        "--max-cycles", type=int, default=None,
-        help="optional per-simulation cycle budget",
-    )
-    trace_replay.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes (1 = serial; results are identical either way)",
-    )
-    trace_replay.add_argument(
-        "--cache-dir", default=None,
-        help="result-cache directory, keyed by trace *content* digest",
-    )
-    trace_replay.add_argument(
-        "--probe", action="append", metavar="NAME",
-        help="attach an instrumentation probe to every cell (repeatable)",
     )
     trace_replay.add_argument(
         "--shards", type=int, default=None, metavar="N",
@@ -792,10 +787,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", default=None,
         help="write the full comparison as JSON",
     )
-    trace_replay.add_argument(
-        "--figure", choices=("2", "3", "summary", "all"), default="all",
-        help="which figure/table to print (default: all)",
-    )
     trace_replay.set_defaults(func=_cmd_trace_replay)
 
     sub_study = sub.add_parser(
@@ -810,7 +801,8 @@ def build_parser() -> argparse.ArgumentParser:
     study_list.set_defaults(func=_cmd_study_list)
 
     study_run = study_sub.add_parser(
-        "run", help="expand a registered study and run it through the engine"
+        "run", parents=[engine_flags],
+        help="expand a registered study and run it through the engine",
     )
     study_run.add_argument(
         "study", help="registered study name (see 'python -m repro study list')"
@@ -828,14 +820,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--variants", default=None,
         help="comma-separated variant names overriding the study's list "
              "(the baseline is always added)",
-    )
-    study_run.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes (1 = serial; results are identical either way)",
-    )
-    study_run.add_argument(
-        "--cache-dir", default=None,
-        help="result-cache directory; a warm re-run simulates nothing",
     )
     study_run.add_argument(
         "--output", default=None,
@@ -859,6 +843,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub_serve = sub.add_parser(
         "serve",
+        parents=[engine_flags],
         help="run the always-on experiment service (HTTP/JSON job queue)",
     )
     sub_serve.add_argument(
@@ -874,21 +859,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="listen port; 0 picks an ephemeral one (default: 8765)",
     )
     sub_serve.add_argument(
-        "--workers", type=int, default=1,
-        help="engine worker processes per job (default: 1)",
-    )
-    sub_serve.add_argument(
-        "--cache-dir", default=None,
-        help="shared result-cache directory (default: STATE_DIR/cache)",
-    )
-    sub_serve.add_argument(
         "--max-queue", type=int, default=8,
         help="admission bound: queued jobs beyond this get 429 + Retry-After "
              "(default: 8)",
-    )
-    sub_serve.add_argument(
-        "--max-concurrent", type=int, default=1,
-        help="jobs executing at once (default: 1)",
     )
     sub_serve.add_argument(
         "--max-cache-bytes", type=int, default=None,
@@ -907,19 +880,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub_serve.add_argument(
         "--max-attempts", type=int, default=3,
-        help="claims a cell may consume before it is quarantined and the "
-             "job fails with its traceback (default: 3)",
+        help="remote claims a cell may consume before it is quarantined and "
+             "the job fails with its traceback (default: 3)",
     )
     sub_serve.set_defaults(func=_cmd_serve)
 
     sub_work = sub.add_parser(
         "work",
+        parents=[service_url],
         help="run a fleet worker: pull cell batches from a repro serve "
              "daemon over HTTP (exit 0 drained, 75 unreachable)",
-    )
-    sub_work.add_argument(
-        "--url", default=DEFAULT_SERVICE_URL,
-        help=f"service base URL (default: {DEFAULT_SERVICE_URL})",
     )
     sub_work.add_argument(
         "--name", default=None, help="worker display name (default: its id)"
@@ -944,16 +914,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub_work.set_defaults(func=_cmd_work)
 
     sub_submit = sub.add_parser(
-        "submit", help="submit a job document to a running experiment service"
+        "submit", parents=[service_url],
+        help="submit a job document to a running experiment service",
     )
     sub_submit.add_argument(
         "document",
         help="JSON job document path, or '-' for stdin: "
              '{"kind": "sweep"|"study"|"replay", "spec": {...}}',
-    )
-    sub_submit.add_argument(
-        "--url", default=DEFAULT_SERVICE_URL,
-        help=f"service base URL (default: {DEFAULT_SERVICE_URL})",
     )
     sub_submit.add_argument(
         "--no-wait", action="store_true",
@@ -966,15 +933,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub_submit.set_defaults(func=_cmd_submit)
 
     sub_status = sub.add_parser(
-        "status", help="query a running experiment service"
+        "status", parents=[service_url], help="query a running experiment service"
     )
     sub_status.add_argument(
         "job", nargs="?", default=None,
         help="job id to show (default: daemon-level status)",
-    )
-    sub_status.add_argument(
-        "--url", default=DEFAULT_SERVICE_URL,
-        help=f"service base URL (default: {DEFAULT_SERVICE_URL})",
     )
     sub_status.add_argument(
         "--jobs", action="store_true", help="list every known job instead"
@@ -987,24 +950,14 @@ def build_parser() -> argparse.ArgumentParser:
     cache_sub = sub_cache.add_subparsers(dest="cache_command", required=True)
 
     cache_stats = cache_sub.add_parser(
-        "stats", help="entry count and byte totals for a result cache"
-    )
-    cache_stats.add_argument(
-        "--cache-dir", default=None, help="local result-cache directory"
-    )
-    cache_stats.add_argument(
-        "--url", default=None, help="a running service's base URL instead"
+        "stats", parents=[cache_target],
+        help="entry count and byte totals for a result cache",
     )
     cache_stats.set_defaults(func=_cmd_cache_stats)
 
     cache_prune = cache_sub.add_parser(
-        "prune", help="LRU-evict cache entries down to a byte bound"
-    )
-    cache_prune.add_argument(
-        "--cache-dir", default=None, help="local result-cache directory"
-    )
-    cache_prune.add_argument(
-        "--url", default=None, help="a running service's base URL instead"
+        "prune", parents=[cache_target],
+        help="LRU-evict cache entries down to a byte bound",
     )
     cache_prune.add_argument(
         "--max-bytes", type=int, default=None,

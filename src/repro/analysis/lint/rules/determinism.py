@@ -1,7 +1,7 @@
 """Determinism sanitizer: simulation code must be bit-deterministic.
 
 Everything downstream of the simulator assumes bit-determinism: the 30-cell
-golden-digest suite, ``_job_cache_key``'s content addressing (a re-run must
+golden-digest suite, ``job_cache_key``'s content addressing (a re-run must
 reproduce the cached cell exactly), parallel==serial sweep identity, and
 sharded stitching.  One stray ``random.random()`` or wall-clock read inside
 :data:`DETERMINISTIC_PACKAGES` silently poisons all of them, so this rule

@@ -1,6 +1,6 @@
 """Cache-schema drift gate: dataclass shape changes require a version bump.
 
-``_job_cache_key`` content-addresses results by hashing the serde payload of
+``job_cache_key`` content-addresses results by hashing the serde payload of
 the cache-key-visible dataclasses (:data:`repro.analysis.lint.schema.SCHEMA_ROOTS`
 and everything nested under them).  Editing a field on any of those classes
 changes which cached results a spec maps to — stale hits or silent misses —

@@ -1,6 +1,6 @@
 """Structural fingerprints of the cache-key-visible dataclasses.
 
-Everything :func:`repro.simulation.engine._job_cache_key` hashes flows
+Everything :func:`repro.simulation.engine.job_cache_key` hashes flows
 through a small set of serde dataclasses — job/sweep/study/replay specs and
 the core/hierarchy configuration tree.  Adding, removing, renaming or
 retyping a field on any of them changes what the content-addressed

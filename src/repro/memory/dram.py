@@ -87,11 +87,6 @@ class DRAMStats:
         return self.total_latency_cycles / self.accesses if self.accesses else 0.0
 
     @property
-    def average_read_latency(self) -> float:
-        """Average read (fill) latency in core cycles."""
-        return self.read_latency_cycles / self.reads if self.reads else 0.0
-
-    @property
     def average_write_latency(self) -> float:
         """Average posted-write (writeback) latency in core cycles."""
         return self.write_latency_cycles / self.writes if self.writes else 0.0

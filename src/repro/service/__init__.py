@@ -19,8 +19,8 @@ layer):
 * :mod:`repro.service.fleet` — the
   :class:`~repro.service.fleet.FleetCoordinator`: lease-based distribution
   of cell batches to remote workers, with heartbeats, expiry reclaim,
-  attempt-bounded quarantine, and graceful degradation to in-process
-  execution when the fleet is empty or partitioned;
+  attempt-bounded quarantine, and graceful degradation to the engine's own
+  ``--workers`` pool when the fleet is empty or partitioned;
 * :mod:`repro.service.worker` — :class:`~repro.service.worker.FleetWorker`,
   the ``repro work`` process: claim a lease, execute its cells, heartbeat,
   complete, repeat until drained;

@@ -77,12 +77,6 @@ class Backoff:
         """Back to the first step (after a success)."""
         self._attempt = 0
 
-    def sleep(self) -> float:
-        """Sleep for :meth:`next_delay`; returns the slept duration."""
-        delay = self.next_delay()
-        time.sleep(delay)
-        return delay
-
 
 class ServiceError(Exception):
     """A non-2xx response from the experiment service."""

@@ -14,9 +14,12 @@ spec schema and execution path:
 Specs parse **strictly** (unknown fields and wrongly typed values are a 400,
 not silently dropped or coerced) and validate registry names up front, so a
 malformed document is rejected at admission — before it occupies a queue
-slot.  A parsed document can expand itself into engine payloads *without
-running them*, which is how the server reports cache-dedupe accounting in
-the admission response.
+slot.  One method builds a parsed document's engine jobs
+(:meth:`ParsedDocument.jobs`): expanding them *without running them* is how
+the server reports cache-dedupe accounting in the admission response, and
+running them through
+:meth:`~repro.simulation.engine.ExperimentEngine.run_jobs` and folding the
+results is how it executes the job.
 """
 
 from __future__ import annotations
@@ -25,9 +28,15 @@ from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.errors import BadSpecError
-from repro.simulation.engine import ExperimentEngine, SweepSpec, sweep_jobs
-from repro.simulation.shard import ReplaySpec, run_replay_spec, shard_jobs
-from repro.simulation.study import StudySpec, build_study, run_study, study_jobs
+from repro.simulation.engine import (
+    ExperimentEngine,
+    JobSpec,
+    SweepSpec,
+    sweep_jobs,
+    sweep_result,
+)
+from repro.simulation.shard import ReplaySpec, shard_jobs, stitch
+from repro.simulation.study import StudySpec, build_study, study_jobs, study_result
 from repro.workloads.source import FileTraceSource, read_trace_header
 
 #: Document kinds, in the order they are documented.
@@ -63,23 +72,19 @@ class ParsedDocument:
             f"x{self.spec.shards} shards"
         )
 
-    # ------------------------------------------------------------ expansion
-
-    def expand_payloads(self, engine: ExperimentEngine) -> List[Dict[str, Any]]:
-        """The engine payloads this document will run, in execution order."""
+    def jobs(self, engine: ExperimentEngine) -> List[JobSpec]:
+        """The engine jobs this document runs, in execution order."""
         if self.kind == "sweep":
-            return engine.expand_job_payloads(sweep_jobs(self.spec, engine))
+            return sweep_jobs(self.spec, engine)
         if self.kind == "study":
-            return engine.expand_job_payloads(study_jobs(self.spec, engine))
+            return study_jobs(self.spec, engine)
         source = FileTraceSource(self.spec.trace_file)
-        return engine.expand_job_payloads(
-            shard_jobs(
-                source,
-                self.spec.plan(source.length),
-                self.spec.variant,
-                max_cycles=self.spec.max_cycles,
-                probes=self.spec.probes,
-            )
+        return shard_jobs(
+            source,
+            self.spec.plan(source.length),
+            self.spec.variant,
+            max_cycles=self.spec.max_cycles,
+            probes=self.spec.probes,
         )
 
     def cache_probe(self, engine: ExperimentEngine) -> Dict[str, int]:
@@ -90,11 +95,9 @@ class ParsedDocument:
         as bad a document as one that fails :func:`parse_document`.
         """
         with _bad_spec(self.kind):
-            payloads = self.expand_payloads(engine)
+            payloads = engine.expand_job_payloads(self.jobs(engine))
         cached, total = engine.cache_probe(payloads)
         return {"total": total, "cached": cached}
-
-    # ------------------------------------------------------------ execution
 
     def execute(
         self,
@@ -104,22 +107,24 @@ class ParsedDocument:
     ) -> Dict[str, Any]:
         """Run the document through ``engine`` and return its result document.
 
-        The result is the JSON-able ``to_dict`` of the kind's native result
-        type (:class:`SweepResult` / :class:`StudyResult` /
+        One :meth:`~ExperimentEngine.run_jobs` call over :meth:`jobs`, with
+        ``progress`` and ``executor`` passed through (the server passes its
+        fleet coordinator's executor), then the kind's fold.  The result is
+        the JSON-able ``to_dict`` of the kind's native result type
+        (:class:`SweepResult` / :class:`StudyResult` /
         :class:`ShardedRunResult`), so clients rebuild the same objects the
-        in-process APIs return.  ``executor`` is the engine's cell-batch
-        execution seam (see :meth:`ExperimentEngine.run_jobs`) — the server
-        passes its fleet coordinator here when remote workers are registered.
+        in-process APIs return.
         """
+        jobs = self.jobs(engine)
+        results = engine.run_jobs(jobs, progress=progress, executor=executor)
         if self.kind == "sweep":
-            result = engine.run_sweep(self.spec, progress=progress, executor=executor)
+            result = sweep_result(self.spec, results)
         elif self.kind == "study":
-            result = run_study(
-                self.spec, engine=engine, cell_progress=progress, executor=executor
-            )
+            result = study_result(self.spec, results, engine.last_run_stats)
         else:
-            result = run_replay_spec(
-                self.spec, engine=engine, progress=progress, executor=executor
+            source = jobs[0].trace
+            result = stitch(
+                self.spec.plan(source.length), source.name, self.spec.variant, results
             )
         return result.to_dict()
 

@@ -14,17 +14,20 @@ to a serial in-process run:
   is rejected as **stale**, so a partitioned-but-alive worker racing its own
   replacement can never double-deliver a cell.  The daemon is the only writer
   of the result cache, and it writes each cell exactly once.
-* **Attempts and quarantine.**  Every claim (remote or local fallback)
-  increments the cell's attempt count — journaled, so it survives a daemon
-  restart.  A cell that is claimed ``max_attempts`` times without ever
-  completing (it keeps crashing workers, or keeps raising) is **quarantined**:
-  parked with its last traceback on the job record, and the job fails promptly
-  with :class:`~repro.errors.CellQuarantined` instead of retrying forever.
-* **Graceful degradation.**  A job only enters the fleet path when workers are
-  registered.  If every worker dies or partitions mid-job (no heartbeat within
-  ``worker_timeout``), the coordinator's run loop executes the remaining cells
-  *locally* in the job thread — a fully partitioned fleet degrades to the
-  in-process path instead of hanging.
+* **Attempts and quarantine.**  Every remote claim increments the cell's
+  attempt count — journaled, so it survives a daemon restart.  A cell that is
+  claimed ``max_attempts`` times without ever completing (it keeps crashing
+  workers, or keeps raising on them) is **quarantined**: parked with its last
+  traceback on the job record, and the job fails promptly with
+  :class:`~repro.errors.CellQuarantined` instead of retrying forever.  A cell
+  quarantined in an earlier daemon life fails its resumed job the same way.
+* **Graceful degradation.**  Every daemon job runs through :meth:`execute`.
+  Whenever no worker is live (none registered, or every one dead, draining or
+  partitioned: no contact within ``worker_timeout``), the run loop hands all
+  pending cells, in one call, to the job's *local* executor — the engine's
+  own ``execute``, i.e. its ``--workers`` process pool — instead of hanging.
+  Local execution is not a lease: it counts no attempt, and an exception
+  from it fails the job at once.
 * **Draining.**  ``POST /v1/workers/<id>/drain`` marks a worker draining: its
   next claim/heartbeat tells it to finish the current batch, deregister, and
   exit cleanly — no cells are abandoned, no leases expire.
@@ -39,17 +42,16 @@ from __future__ import annotations
 
 import threading
 import time
-import traceback
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.errors import CellQuarantined, JobCancelled
-from repro.simulation.engine import execute_cell_payload, job_cache_key
+from repro.simulation.engine import job_cache_key
 
 #: Seconds a lease stays valid without a renewal.
 DEFAULT_LEASE_TTL = 15.0
 
-#: Claims (remote or local) a cell may consume before quarantine.
+#: Remote claims a cell may consume before quarantine.
 DEFAULT_MAX_ATTEMPTS = 3
 
 #: Seconds without any worker contact before the fleet counts as partitioned
@@ -57,7 +59,7 @@ DEFAULT_MAX_ATTEMPTS = 3
 WORKER_TIMEOUT_FACTOR = 2.0
 
 #: Run-loop poll granularity (seconds): how often an executing job thread
-#: sweeps expired leases and checks for the local-fallback condition.
+#: sweeps expired leases and checks whether any worker is still live.
 DEFAULT_TICK = 0.05
 
 #: Hex prefix length of a cell's content hash used as its wire/journal id.
@@ -141,11 +143,9 @@ class _FleetRun:
         self.record = record
         self.job_id = record.id
         self.cells: Dict[str, _Cell] = {}
-        #: Claimable by remote workers (payloads with no in-memory trace).
-        self.pending_remote: deque = deque()
-        #: Payloads that cannot cross the wire; executed by the job thread.
-        self.pending_local: deque = deque()
-        #: Completions not yet delivered to the engine's ``on_result``.
+        #: Cells waiting for a remote claim or the local executor.
+        self.pending: deque = deque()
+        #: Remote completions not yet delivered to the engine's ``on_result``.
         self.ready: List[Any] = []
         self.done = 0
         #: First quarantined cell ``(cell, cause)``; poisons the whole run.
@@ -164,10 +164,8 @@ class _FleetRun:
                 cell.state = "quarantined"
                 if self.poison is None:
                     self.poison = (cell, record.quarantined[cell_id])
-            elif payload.get("trace") is not None:
-                self.pending_local.append(cell_id)
             else:
-                self.pending_remote.append(cell_id)
+                self.pending.append(cell_id)
 
     @property
     def finished(self) -> bool:
@@ -260,12 +258,12 @@ class FleetCoordinator:
             if worker.state == "draining":
                 return {"worker": worker_id, "drain": True, "cells": []}
             for run in self._runs.values():
-                if not run.pending_remote or run.poison is not None:
+                if not run.pending or run.poison is not None:
                     continue
                 cell_ids: List[str] = []
                 lease_id = f"L{self._next_lease:06d}"
-                while run.pending_remote and len(cell_ids) < max_cells:
-                    cell_id = run.pending_remote.popleft()
+                while run.pending and len(cell_ids) < max_cells:
+                    cell_id = run.pending.popleft()
                     cell = run.cells[cell_id]
                     cell.state = "leased"
                     cell.lease_id = lease_id
@@ -382,7 +380,7 @@ class FleetCoordinator:
                 if cell is not None and cell.lease_id == lease_id and cell.state == "leased":
                     cell.state = "pending"
                     cell.lease_id = None
-                    run.pending_remote.append(cell_id)
+                    run.pending.append(cell_id)
             lease.state = "completed"
             self._journal_append(
                 {"event": "lease", "action": "complete", "id": run.job_id,
@@ -421,11 +419,6 @@ class FleetCoordinator:
 
     # -------------------------------------------------------------- fleet API
 
-    def has_workers(self) -> bool:
-        """Whether any worker is registered (the fleet-path gate)."""
-        with self._lock:
-            return bool(self.workers)
-
     def live_workers(self) -> int:
         """Workers heard from within ``worker_timeout`` and not draining."""
         with self._lock:
@@ -453,11 +446,11 @@ class FleetCoordinator:
                 "max_attempts": self.max_attempts,
             }
 
-    def make_executor(self, record: Any) -> Callable:
+    def make_executor(self, record: Any, local: Callable) -> Callable:
         """The engine ``executor`` seam for one job (see ``run_jobs``)."""
 
         def executor(payloads, on_result):
-            self.execute(record, payloads, on_result)
+            self.execute(record, payloads, on_result, local)
 
         return executor
 
@@ -468,7 +461,7 @@ class FleetCoordinator:
         record: Any,
         payloads: Sequence[Dict[str, Any]],
         on_result: Callable[[int, Dict[str, Any]], None],
-        local_execute: Optional[Callable[[Dict[str, Any]], Dict[str, Any]]] = None,
+        local: Callable,
     ) -> None:
         """Distribute ``payloads`` across the fleet; blocks until delivered.
 
@@ -476,10 +469,11 @@ class FleetCoordinator:
         ``on_result(offset, result_dict)`` (the engine caches and accounts on
         its side).  Raises :class:`CellQuarantined` when a cell exhausts
         ``max_attempts`` and :class:`~repro.errors.JobCancelled` when the
-        daemon is stopping.  With no live workers, remaining cells execute
-        locally in this thread — the degradation path.
+        daemon is stopping.  Whenever no worker is live, every pending cell
+        goes to ``local(payloads, on_result)`` — an executor of the engine's
+        shape — in one call; its results reach ``on_result`` at each cell's
+        offset as they arrive, and its exceptions propagate.
         """
-        local_execute = local_execute or execute_cell_payload
         run = _FleetRun(record, payloads)
         with self._lock:
             self._runs[record.id] = run
@@ -505,9 +499,9 @@ class FleetCoordinator:
                 with self._lock:
                     if run.finished and not run.ready:
                         return
-                    cell = self._pop_local_cell_locked(run)
-                if cell is not None:
-                    self._execute_local(run, cell, local_execute)
+                    cells = self._take_local_locked(run)
+                if cells:
+                    self._run_local(run, cells, on_result, local)
                     continue
                 with self._cond:
                     self._cond.wait(self._tick)
@@ -537,55 +531,41 @@ class FleetCoordinator:
             and now - worker.last_seen <= self.worker_timeout
         )
 
-    def _pop_local_cell_locked(self, run: _FleetRun) -> Optional[_Cell]:
-        """Claim a cell for in-thread execution (fallback + wire-unsafe cells)."""
-        cell_id: Optional[str] = None
-        if run.pending_local:
-            cell_id = run.pending_local.popleft()
-        elif run.pending_remote and not self._live_workers_locked(self._clock()):
-            cell_id = run.pending_remote.popleft()
-        if cell_id is None:
-            return None
-        cell = run.cells[cell_id]
-        cell.state = "local"
-        cell.lease_id = None
-        cell.attempts += 1
-        run.record.attempts[cell_id] = cell.attempts
-        self._journal_append(
-            {"event": "lease", "action": "claim", "id": run.job_id,
-             "lease": "local", "worker": "local", "cells": [cell_id]}
+    def _take_local_locked(self, run: _FleetRun) -> List[_Cell]:
+        """Every pending cell, in offset order, when no worker is live."""
+        if not run.pending or self._live_workers_locked(self._clock()):
+            return []
+        cells = sorted(
+            (run.cells[cell_id] for cell_id in run.pending),
+            key=lambda cell: cell.offset,
         )
-        return cell
+        run.pending.clear()
+        for cell in cells:
+            cell.state = "local"
+        return cells
 
-    def _execute_local(
-        self, run: _FleetRun, cell: _Cell, local_execute: Callable
+    def _run_local(
+        self, run: _FleetRun, cells: List[_Cell], on_result: Callable, local: Callable
     ) -> None:
-        """Run one cell in the job thread; failures count toward quarantine."""
-        try:
-            produced = local_execute(cell.payload)
-        except JobCancelled:
-            raise
-        except Exception:
+        """Run ``cells`` through the local executor in the job thread."""
+
+        def deliver(index: int, produced: Dict[str, Any]) -> None:
+            cell = cells[index]
             with self._lock:
-                self._cell_failed_locked(run, cell, traceback.format_exc())
-            return
-        with self._lock:
-            cell.state = "done"
-            run.done += 1
-            run.ready.append((cell.offset, produced))
-            self._cond.notify_all()
+                cell.state = "done"
+                run.done += 1
+            on_result(cell.offset, produced)
+
+        local([cell.payload for cell in cells], deliver)
 
     def _cell_failed_locked(self, run: _FleetRun, cell: _Cell, cause: str) -> None:
-        """One attempt failed: requeue the cell, or quarantine it."""
+        """One remote attempt failed: requeue the cell, or quarantine it."""
         cell.lease_id = None
         if cell.attempts >= self.max_attempts:
             self._quarantine_locked(run, cell, cause)
             return
         cell.state = "pending"
-        if cell.payload.get("trace") is not None:
-            run.pending_local.append(cell.cell_id)
-        else:
-            run.pending_remote.append(cell.cell_id)
+        run.pending.append(cell.cell_id)
         self._cond.notify_all()
 
     def _quarantine_locked(self, run: _FleetRun, cell: _Cell, cause: str) -> None:
@@ -642,7 +622,7 @@ class FleetCoordinator:
                 else:
                     cell.state = "pending"
                     cell.lease_id = None
-                    run.pending_remote.append(cell_id)
+                    run.pending.append(cell_id)
                     requeued.append(cell_id)
         self._journal_append(
             {"event": "lease", "action": "reclaim", "id": lease.job_id,

@@ -68,7 +68,7 @@ class JobRecord:
     error_status: int = 500
     #: Full traceback of a failure, when one was journaled.
     error_traceback: Optional[str] = None
-    #: Fleet attempt counts per cell id (claims, including local fallback).
+    #: Fleet attempt counts per cell id (remote claims).
     attempts: Dict[str, int] = field(default_factory=dict)
     #: Quarantined cells: cell id -> last traceback/cause.
     quarantined: Dict[str, str] = field(default_factory=dict)

@@ -8,10 +8,10 @@ One process, three moving parts:
   to the journal *before* the 202 response is sent, so a killed daemon
   resumes every incomplete job on restart (:mod:`repro.service.journal`);
 * a **worker loop** feeding the shared
-  :class:`~repro.simulation.engine.ExperimentEngine`: bounded concurrency
-  (``max_concurrent`` jobs at a time, each with the engine's own process
-  pool underneath), per-cell progress events, and a shared content-addressed
-  result cache that dedupes across tenants.
+  :class:`~repro.simulation.engine.ExperimentEngine`: one job at a time (its
+  cells spread over the engine's process pool or the fleet), per-cell
+  progress events, and a shared content-addressed result cache that dedupes
+  across tenants.
 
 Backpressure: when ``max_queue`` jobs are already waiting, ``POST /v1/jobs``
 returns **429 with a Retry-After header** instead of accepting unbounded
@@ -24,11 +24,13 @@ their next cell boundary (completed cells are already in the result cache),
 flush the journal, and exit — interrupted jobs stay ``queued``/``running``
 in the journal and resume on the next start.
 
-Fleet: when remote workers register (``repro work``, ``/v1/workers``), jobs
-execute through the :class:`~repro.service.fleet.FleetCoordinator` — cells
-are leased to workers over HTTP, results flow back through ``complete``,
-and this daemon stays the *only* cache writer.  With no workers registered
-the engine's in-process pool path is used unchanged.
+Fleet: every job's uncached cells go through the
+:class:`~repro.service.fleet.FleetCoordinator` — cells are leased to remote
+workers (``repro work``, ``/v1/workers``) over HTTP, results flow back
+through ``complete``, and this daemon stays the *only* cache writer.
+Whenever no worker is live the coordinator hands the pending cells to the
+engine's own executor, :meth:`~repro.simulation.engine.ExperimentEngine.execute`
+(the ``--workers`` process pool).
 """
 
 from __future__ import annotations
@@ -117,7 +119,6 @@ class ExperimentService:
         workers: int = 1,
         cache_dir: Optional[Union[str, Path]] = None,
         max_queue: int = 8,
-        max_concurrent: int = 1,
         max_cache_bytes: Optional[int] = None,
         retry_after: float = 5.0,
         start_paused: bool = False,
@@ -128,8 +129,6 @@ class ExperimentService:
     ) -> None:
         if max_queue < 0:
             raise ValueError(f"max_queue must be >= 0, got {max_queue}")
-        if max_concurrent < 1:
-            raise ValueError(f"max_concurrent must be >= 1, got {max_concurrent}")
         self.state_dir = Path(state_dir)
         self.state_dir.mkdir(parents=True, exist_ok=True)
         self.results_dir = self.state_dir / "results"
@@ -137,7 +136,6 @@ class ExperimentService:
         self.host = host
         self.port = port
         self.max_queue = max_queue
-        self.max_concurrent = max_concurrent
         self.retry_after = retry_after
         self.start_paused = start_paused
         self._log = log or (lambda line: None)
@@ -172,8 +170,10 @@ class ExperimentService:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._worker_tasks: List[asyncio.Task] = []
+        #: One job thread: a study job reads ``engine.last_run_stats`` after
+        #: its ``run_jobs``, which a concurrent job's run would overwrite.
         self._executor = ThreadPoolExecutor(
-            max_workers=max_concurrent, thread_name_prefix="repro-job"
+            max_workers=1, thread_name_prefix="repro-job"
         )
 
     # ------------------------------------------------------------- lifecycle
@@ -209,9 +209,9 @@ class ExperimentService:
             self._log(f"journal recovery: resuming {resumed} incomplete job(s)")
 
     def resume_workers(self) -> None:
-        """Start the worker tasks (no-op if already running)."""
+        """Start the worker task (no-op if already running)."""
         assert self._loop is not None
-        while len(self._worker_tasks) < self.max_concurrent:
+        if not self._worker_tasks:
             self._worker_tasks.append(self._loop.create_task(self._worker_loop()))
 
     async def stop(self) -> int:
@@ -330,11 +330,12 @@ class ExperimentService:
         self._log(f"job {job_id} failed ({status}): {message}")
 
     def _execute_job(self, job: _Job) -> Tuple[Any, ...]:
-        """Run one job in a worker thread; never raises (returns outcomes).
+        """Run one job in the job thread; never raises (returns outcomes).
 
-        Per-job accounting is counted from the engine's progress callback
-        (not ``engine.last_run_stats``), so concurrent jobs sharing the
-        engine cannot misattribute each other's cells.
+        The uncached cells go to the fleet's executor for this job, with the
+        engine's :meth:`~repro.simulation.engine.ExperimentEngine.execute` as
+        its local executor.  Per-job accounting is counted from the engine's
+        progress callback.
         """
         counts = {"total": 0, "cached": 0, "simulated": 0}
         loop = self._loop
@@ -353,13 +354,10 @@ class ExperimentService:
 
         try:
             parsed: ParsedDocument = parse_document(job.record.document)
-            # The fleet path is taken only when workers are registered; with
-            # none, executor=None keeps the engine's in-process pool path.
-            executor = None
-            if self.fleet.has_workers():
-                executor = self.fleet.make_executor(job.record)
             result_doc = parsed.execute(
-                self.engine, progress=progress, executor=executor
+                self.engine,
+                progress=progress,
+                executor=self.fleet.make_executor(job.record, self.engine.execute),
             )
         except JobCancelled:
             return ("cancelled", None, None, None)
@@ -605,7 +603,6 @@ class ExperimentService:
                     "jobs": states,
                     "queued": self.queued_jobs(),
                     "max_queue": self.max_queue,
-                    "max_concurrent": self.max_concurrent,
                     "workers": self.engine.workers,
                     "paused": not self._worker_tasks,
                     "cache": self.engine.cache.stats().to_dict(),

@@ -4,11 +4,15 @@ The paper's evaluation is a cross-product of workloads x core variants
 (optionally x configuration overrides, plus SimPoint windows).  Every cell of
 that grid is one :class:`JobSpec`; sweeps (:func:`sweep_jobs`), studies,
 shards and SimPoint intervals are pure functions that build them, and
-:meth:`ExperimentEngine.run_jobs` runs any list of them:
+:meth:`ExperimentEngine.run_jobs` runs any list of them, serving cached cells
+itself and handing the rest to one executor call:
 
 * **in parallel** across processes (``workers > 1``) via
   ``concurrent.futures.ProcessPoolExecutor``, with a **serial fallback**
-  (``workers = 1``, or when the platform cannot spawn processes);
+  (``workers = 1``, or when the platform cannot spawn processes) — that is
+  :meth:`ExperimentEngine.execute`, the one local executor; the experiment
+  service's fleet coordinator is the other executor, and hands cells back to
+  it whenever no remote worker is live;
 * **deterministically** — jobs are expanded and reassembled in a fixed order,
   and both execution paths funnel each cell through the same worker function
   and the same JSON round-trip, so parallel and serial sweeps produce
@@ -263,6 +267,23 @@ def sweep_jobs(spec: SweepSpec, engine: "ExperimentEngine") -> List[JobSpec]:
     return jobs
 
 
+def sweep_result(spec: SweepSpec, results: Sequence[SimulationResult]) -> SweepResult:
+    """Fold the results of :func:`sweep_jobs`, in job order, into a sweep result."""
+    variants = spec.resolved_variants()
+    workloads = spec.resolved_workloads()
+    grid = len(workloads) * len(variants)
+    cells = [
+        SweepCell(
+            overrides=dict(overrides),
+            comparison=assemble_comparison(
+                workloads, variants, results[index * grid : (index + 1) * grid]
+            ),
+        )
+        for index, overrides in enumerate(spec.configs or [{}])
+    ]
+    return SweepResult(spec=spec, cells=cells)
+
+
 # ----------------------------------------------------------------- job model
 
 
@@ -330,12 +351,15 @@ def _job_payload(
     }
 
 
-def _job_cache_key(payload: Dict[str, Any]) -> str:
-    """Content hash identifying a job's full input.
+def job_cache_key(payload: Dict[str, Any]) -> str:
+    """Content hash identifying one expanded job payload's full input.
 
     Trace-backed jobs (pre-built or recorded files) key on a digest of the
     trace *content*, never just its name, so edited or re-recorded traces can
-    never serve stale cached cells.
+    never serve stale cached cells.  The fleet layer uses this as the *cell
+    identity*: stable across daemon restarts (it hashes the cell's full
+    input, not its position in a run), so journaled per-cell attempt counts
+    survive a crash and a poisoned cell stays quarantined after recovery.
     """
     source = payload["source"]
     if source["kind"] == "trace" and "digest" not in source:
@@ -409,12 +433,15 @@ def _multicore_payload(spec: MultiCoreSpec) -> Dict[str, Any]:
     return {"spec": spec.to_dict(), "tokens": tokens}
 
 
-def _execute_job(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one (benchmark, variant, config) cell; returns a JSON-able result.
+def execute_cell_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """Run one expanded job payload; returns a JSON-able result.
 
-    Top-level so it pickles into worker processes.  Both the serial and the
-    parallel path call exactly this function, which is what makes them
-    equivalent by construction.
+    Top-level so it pickles into worker processes.  The engine's serial path,
+    its process-pool workers and the fleet's remote workers
+    (:mod:`repro.service.worker`) all call exactly this function, which is
+    what makes them equivalent by construction.  A payload sent over the wire
+    must be JSON-shaped (``trace`` is ``None``; sources are ``workload``/
+    ``file`` descriptors), which every service-submitted document guarantees.
     """
     source = payload["source"]
     if source["kind"] == "workload":
@@ -476,32 +503,7 @@ def _execute_job(payload: Dict[str, Any]) -> Dict[str, Any]:
 
 def _execute_batch(payloads: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     """Run a batch of jobs in one worker (jobs sharing a pickled trace)."""
-    return [_execute_job(payload) for payload in payloads]
-
-
-def execute_cell_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Public cell-execution seam: run one expanded job payload locally.
-
-    This is exactly what the engine's own serial path and process-pool
-    workers run per cell — exposed so *remote* executors (the fleet worker of
-    :mod:`repro.service.worker`, the coordinator's local fallback) funnel
-    through the same single function and stay bit-identical by construction.
-    The payload must be JSON-shaped (``trace`` is ``None``; sources are
-    ``workload``/``file`` descriptors), which every service-submitted
-    document guarantees.
-    """
-    return _execute_job(payload)
-
-
-def job_cache_key(payload: Dict[str, Any]) -> str:
-    """Public content-hash seam for one expanded job payload.
-
-    The fleet layer uses this as the *cell identity*: stable across daemon
-    restarts (it hashes the cell's full input, not its position in a run),
-    so journaled per-cell attempt counts survive a crash and a poisoned cell
-    stays quarantined after recovery.
-    """
-    return _job_cache_key(payload)
+    return [execute_cell_payload(payload) for payload in payloads]
 
 
 # --------------------------------------------------------------- result cache
@@ -709,28 +711,13 @@ class ExperimentEngine:
         if self.cache is None:
             return 0, len(payloads)
         cached = sum(
-            1 for payload in payloads if self.cache.contains(_job_cache_key(payload))
+            1 for payload in payloads if self.cache.contains(job_cache_key(payload))
         )
         return cached, len(payloads)
 
-    def run_sweep(self, spec: SweepSpec, progress=None, executor=None) -> SweepResult:
+    def run_sweep(self, spec: SweepSpec) -> SweepResult:
         """Run a full sweep spec and return one comparison grid per config."""
-        variants = spec.resolved_variants()
-        workloads = spec.resolved_workloads()
-        results = self.run_jobs(
-            sweep_jobs(spec, self), progress=progress, executor=executor
-        )
-        grid = len(workloads) * len(variants)
-        cells = [
-            SweepCell(
-                overrides=dict(overrides),
-                comparison=assemble_comparison(
-                    workloads, variants, results[index * grid : (index + 1) * grid]
-                ),
-            )
-            for index, overrides in enumerate(spec.configs or [{}])
-        ]
-        return SweepResult(spec=spec, cells=cells)
+        return sweep_result(spec, self.run_jobs(sweep_jobs(spec, self)))
 
     def expand_job_payloads(self, jobs: Sequence[JobSpec]) -> List[Dict[str, Any]]:
         """Validate and expand :class:`JobSpec`\\ s into engine job payloads.
@@ -849,10 +836,12 @@ class ExperimentEngine:
         raise :class:`~repro.errors.JobCancelled` to abort the run between
         cells; outstanding pool work is then cancelled.
 
-        ``executor`` (optional) is the cell-batch execution seam: a callable
-        ``executor(payloads, on_result)`` that replaces the pool/serial path
-        for the *uncached* cells — the experiment service installs its fleet
-        coordinator here to farm cells out to remote workers.  It must invoke
+        The *uncached* cells go to one executor call,
+        ``executor(payloads, on_result)``; this is the only place one is
+        picked.  The default is :meth:`execute`, the local pool-or-serial
+        executor.  The experiment service passes its fleet coordinator's
+        executor, which leases cells to remote workers and hands them to
+        :meth:`execute` while no worker is live.  An executor must invoke
         ``on_result(offset, result_dict)`` exactly once per payload (any
         order); cache writes and progress accounting stay on this side, so a
         distributed run is cache-accounted identically to a local one.
@@ -866,7 +855,7 @@ class ExperimentEngine:
 
         for index, payload in enumerate(payloads):
             if self.cache is not None:
-                keys[index] = _job_cache_key(payload)
+                keys[index] = job_cache_key(payload)
                 cached = self.cache.get(keys[index])
                 if cached is not None:
                     outputs[index] = cached
@@ -890,31 +879,24 @@ class ExperimentEngine:
                 if progress is not None:
                     progress(done, len(payloads), "simulated")
 
-            self._execute_pending(
-                [payloads[i] for i in pending], on_result, executor=executor
-            )
+            (executor or self.execute)([payloads[i] for i in pending], on_result)
 
         self.last_run_stats = stats
         return [SimulationResult.from_dict(output) for output in outputs]
 
-    def _execute_pending(
-        self, payloads: List[Dict[str, Any]], on_result, executor=None
-    ) -> None:
-        """Execute uncached payloads, delivering each result via ``on_result``.
+    def execute(self, payloads: List[Dict[str, Any]], on_result) -> None:
+        """The local executor: run ``payloads`` in a process pool or in-process.
 
-        ``on_result(offset, produced)`` is invoked in submission order.  On
-        SIGINT/SIGTERM (or a cancellation raised by the caller's callback),
-        outstanding futures are cancelled and worker processes terminated
-        before the exception propagates — a Ctrl-C no longer tracebacks out
-        of ``ProcessPoolExecutor``'s shutdown machinery with workers leaked.
-
-        With ``executor`` set, the whole pending batch is handed to it
-        instead (see :meth:`run_jobs`); the executor owns scheduling,
-        retries, and fallback, and delivers results through ``on_result``.
+        Uses a process pool when ``workers > 1`` and there is more than one
+        batch, else runs in-process; a pool that cannot start or breaks
+        falls back to the serial path.  ``on_result(offset, produced)`` is
+        invoked in submission order.  On SIGINT/SIGTERM (or a cancellation
+        raised by the caller's callback), outstanding futures are cancelled
+        and worker processes terminated before the exception propagates — a
+        Ctrl-C no longer tracebacks out of ``ProcessPoolExecutor``'s shutdown
+        machinery with workers leaked.  No cache or accounting happens here
+        (see :meth:`run_jobs`).
         """
-        if executor is not None:
-            executor(payloads, on_result)
-            return
         batches = self._batch_payloads(payloads)
         delivered = 0
         if self.workers > 1 and len(batches) > 1:
@@ -952,7 +934,7 @@ class ExperimentEngine:
         for offset, payload in enumerate(payloads):
             if offset < delivered:
                 continue
-            on_result(offset, _execute_job(payload))
+            on_result(offset, execute_cell_payload(payload))
 
     @staticmethod
     def _abort_pool(pool: Optional[ProcessPoolExecutor], futures: List[Any]) -> None:
@@ -1010,4 +992,5 @@ __all__ = [
     "execute_cell_payload",
     "job_cache_key",
     "sweep_jobs",
+    "sweep_result",
 ]

@@ -122,35 +122,22 @@ def compare_with_goldens(record: Dict[str, Any]) -> List[str]:
     An empty list means every cell's ``CoreStats`` digest, IPC, and
     normalized IPC are bit-identical to the golden capture.
     """
-    from repro.registry import build_workload  # local: avoids import cycles
-
+    current = capture_goldens(
+        record["workloads"], record["variants"], record["num_uops"]
+    )
     mismatches: List[str] = []
-    num_uops = record["num_uops"]
-    for workload in record["workloads"]:
-        trace = build_workload(workload, num_uops=num_uops)
-        baseline_ipc: Optional[float] = None
-        for variant in record["variants"]:
-            golden = record["cells"][cell_key(workload, variant)]
-            result = run_simulation(trace, SimulationRequest(variant=variant))
-            ipc = result.stats.ipc
-            if variant == "ooo":
-                baseline_ipc = ipc
-            if stats_digest(result.stats) != golden["digest"]:
+    for key, cell in current["cells"].items():
+        golden = record["cells"][key]
+        if cell["digest"] != golden["digest"]:
+            mismatches.append(
+                f"{key}: CoreStats digest diverged "
+                f"(golden ipc={golden['ipc']!r}, current ipc={cell['ipc']!r})"
+            )
+            continue
+        for field, label in (("ipc", "IPC"), ("normalized_ipc", "normalized IPC")):
+            if cell[field] != golden[field]:
                 mismatches.append(
-                    f"{cell_key(workload, variant)}: CoreStats digest diverged "
-                    f"(golden ipc={golden['ipc']!r}, current ipc={ipc!r})"
-                )
-                continue
-            if ipc != golden["ipc"]:
-                mismatches.append(
-                    f"{cell_key(workload, variant)}: IPC diverged "
-                    f"({golden['ipc']!r} -> {ipc!r})"
-                )
-            normalized = (ipc / baseline_ipc) if baseline_ipc else None
-            if normalized != golden["normalized_ipc"]:
-                mismatches.append(
-                    f"{cell_key(workload, variant)}: normalized IPC diverged "
-                    f"({golden['normalized_ipc']!r} -> {normalized!r})"
+                    f"{key}: {label} diverged ({golden[field]!r} -> {cell[field]!r})"
                 )
     return mismatches
 

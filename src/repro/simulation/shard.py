@@ -38,7 +38,6 @@ from repro.simulation.simulator import (
 )
 from repro.uarch.config import CoreConfig
 from repro.uarch.stats import CoreStats
-from repro.workloads.source import FileTraceSource
 from repro.workloads.trace import TraceSource
 
 
@@ -224,8 +223,6 @@ def run_sharded(
     hierarchy_config: Optional[HierarchyConfig] = None,
     max_cycles: Optional[int] = None,
     probes: Sequence[str] = (),
-    progress=None,
-    executor=None,
 ) -> ShardedRunResult:
     """Replay one trace as ``shards`` parallel windows and stitch the stats.
 
@@ -253,12 +250,20 @@ def run_sharded(
         max_cycles=max_cycles,
         probes=probes,
     )
-    engine = engine or ExperimentEngine()
-    results = engine.run_jobs(jobs, progress=progress, executor=executor)
-    weights = plan.weights()
+    results = (engine or ExperimentEngine()).run_jobs(jobs)
+    return stitch(plan, trace.name, variant, results)
+
+
+def stitch(
+    plan: ShardPlan,
+    trace_name: str,
+    variant: str,
+    results: Sequence[SimulationResult],
+) -> ShardedRunResult:
+    """Fold the results of :func:`shard_jobs`, in shard order, into one replay."""
     shard_results = [
         ShardResult(shard=shard, weight=weight, result=result)
-        for shard, weight, result in zip(plan.shards, weights, results)
+        for shard, weight, result in zip(plan.shards, plan.weights(), results)
     ]
     if plan.exact:
         # The single whole-trace window *is* the run; no weighting, no
@@ -271,7 +276,7 @@ def run_sharded(
         )
     return ShardedRunResult(
         variant=variant,
-        trace_name=trace.name,
+        trace_name=trace_name,
         total_uops=plan.total_uops,
         warmup_uops=plan.warmup_uops,
         shards=shard_results,
@@ -289,10 +294,10 @@ class ReplaySpec(JSONSerializable):
 
     The spec-to-job adapter for the experiment service: a submitted
     ``{"kind": "replay"}`` document parses into this, expands into
-    :func:`shard_jobs` (for admission-time cache dedupe) and executes via
-    :func:`run_replay_spec` — the same path ``trace replay --shards`` takes,
-    minus the CLI.  ``trace_file`` must be a recorded trace path readable by
-    the server; its *content digest* (not the path) keys the cache.
+    :func:`shard_jobs` and folds its results with :func:`stitch` — the same
+    path ``trace replay --shards`` takes, minus the CLI.  ``trace_file`` must
+    be a recorded trace path readable by the server; its *content digest*
+    (not the path) keys the cache.
     """
 
     trace_file: str
@@ -317,27 +322,6 @@ class ReplaySpec(JSONSerializable):
         return plan_shards(total_uops, self.shards, self.warmup_uops)
 
 
-def run_replay_spec(
-    spec: ReplaySpec,
-    engine: Optional[ExperimentEngine] = None,
-    progress=None,
-    executor=None,
-) -> ShardedRunResult:
-    """Execute a :class:`ReplaySpec` through ``engine`` (the service path)."""
-    spec.validate()
-    return run_sharded(
-        FileTraceSource(spec.trace_file),
-        variant=spec.variant,
-        shards=spec.shards,
-        warmup_uops=spec.warmup_uops,
-        engine=engine,
-        max_cycles=spec.max_cycles,
-        probes=list(spec.probes),
-        progress=progress,
-        executor=executor,
-    )
-
-
 __all__ = [
     "ReplaySpec",
     "Shard",
@@ -345,7 +329,7 @@ __all__ = [
     "ShardResult",
     "ShardedRunResult",
     "plan_shards",
-    "run_replay_spec",
     "run_sharded",
     "shard_jobs",
+    "stitch",
 ]

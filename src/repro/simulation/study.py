@@ -50,6 +50,7 @@ from repro.simulation.engine import (
 )
 from repro.simulation.multicore import CoreAssignment, MultiCoreSpec
 from repro.simulation.experiment import ComparisonResult
+from repro.simulation.simulator import SimulationResult
 from repro.uarch.config import CoreConfig
 
 #: Memory-sensitive trio used by the registered studies: small enough for CI,
@@ -403,46 +404,27 @@ def study_jobs(spec: StudySpec, engine: ExperimentEngine) -> List[JobSpec]:
     return jobs
 
 
-def run_study(
-    spec: StudySpec,
-    engine: Optional[ExperimentEngine] = None,
-    progress=None,
-    cell_progress=None,
-    executor=None,
+def study_result(
+    spec: StudySpec, results: Sequence[SimulationResult], stats: EngineRunStats
 ) -> StudyResult:
-    """Expand ``spec`` and run every cell through ``engine`` in one pass.
+    """Fold the results of :func:`study_jobs`, in job order, into a study result.
 
-    All points' cells go to the engine as a single job batch, so parallelism
-    spans the whole cartesian product (not one pool per point) and
-    ``engine.last_run_stats`` accounts for the entire study — which is how
-    the CLI (and CI) asserts that a warm-cache re-run simulates nothing.
-    ``progress`` (optional) is called with one descriptive line per phase;
-    ``cell_progress`` is the engine's per-cell callback
-    (``(done, total, kind)``), which the service streams as job events.
+    ``stats`` is the engine run's accounting (``engine.last_run_stats``).
     """
-    engine = engine or ExperimentEngine()
-    points = spec.expand()
     workloads = spec.resolved_workloads()
     variants = spec.resolved_variants()
-    jobs = study_jobs(spec, engine)
-    if progress is not None:
-        progress(
-            f"study {spec.name!r}: {len(points)} points x {len(workloads)} workloads "
-            f"x {len(variants)} variants = {len(jobs)} cells "
-            f"({spec.num_uops} micro-ops each)"
-        )
-    results = engine.run_jobs(jobs, progress=cell_progress, executor=executor)
-    stats: EngineRunStats = engine.last_run_stats
     per_point = len(workloads) * len(variants)
-    point_results: List[StudyPointResult] = []
-    for index, point in enumerate(points):
-        chunk = results[index * per_point : (index + 1) * per_point]
-        point_results.append(
-            StudyPointResult(
-                point=point,
-                comparison=assemble_comparison(workloads, variants, chunk),
-            )
+    point_results = [
+        StudyPointResult(
+            point=point,
+            comparison=assemble_comparison(
+                workloads,
+                variants,
+                results[index * per_point : (index + 1) * per_point],
+            ),
         )
+        for index, point in enumerate(spec.expand())
+    ]
     return StudyResult(
         spec=spec,
         points=point_results,
@@ -450,6 +432,32 @@ def run_study(
         simulated=stats.simulated,
         cache_hits=stats.cache_hits,
     )
+
+
+def run_study(
+    spec: StudySpec,
+    engine: Optional[ExperimentEngine] = None,
+    progress=None,
+) -> StudyResult:
+    """Expand ``spec`` and run every cell through ``engine`` in one pass.
+
+    All points' cells go to the engine as a single job batch, so parallelism
+    spans the whole cartesian product (not one pool per point) and
+    ``engine.last_run_stats`` accounts for the entire study — which is how
+    the CLI (and CI) asserts that a warm-cache re-run simulates nothing.
+    ``progress`` (optional) is called with one descriptive line per phase.
+    """
+    engine = engine or ExperimentEngine()
+    jobs = study_jobs(spec, engine)
+    if progress is not None:
+        progress(
+            f"study {spec.name!r}: {len(spec.expand())} points x "
+            f"{len(spec.resolved_workloads())} workloads x "
+            f"{len(spec.resolved_variants())} variants = {len(jobs)} cells "
+            f"({spec.num_uops} micro-ops each)"
+        )
+    results = engine.run_jobs(jobs)
+    return study_result(spec, results, engine.last_run_stats)
 
 
 # ------------------------------------------------------------------- registry
@@ -641,4 +649,5 @@ __all__ = [
     "register_study",
     "run_study",
     "study_jobs",
+    "study_result",
 ]

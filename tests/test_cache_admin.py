@@ -11,7 +11,7 @@ Four contracts:
   of a key being overwritten see either a complete old or a complete new
   payload, never a torn one — and ``contains()`` never perturbs the
   hit/miss counters (the service's admission probe depends on that);
-* **key stability**: ``_job_cache_key`` is a pure function of the schema-v4
+* **key stability**: ``job_cache_key`` is a pure function of the schema-v4
   descriptor fields — property-tested (hypothesis) for determinism,
   insensitivity to dict ordering, and sensitivity to every field the v4
   schema added (probes, window, warmup).
@@ -31,7 +31,7 @@ from repro.simulation.engine import (
     PruneResult,
     ResultCache,
     SweepSpec,
-    _job_cache_key,
+    job_cache_key,
 )
 
 
@@ -277,11 +277,11 @@ _descriptors = st.tuples(
 @settings(max_examples=200, deadline=None)
 @given(_descriptors, _descriptors)
 def test_job_cache_key_is_stable_and_field_sensitive(a, b):
-    key_a = _job_cache_key(_payload(*a))
-    assert key_a == _job_cache_key(_payload(*a))  # deterministic
+    key_a = job_cache_key(_payload(*a))
+    assert key_a == job_cache_key(_payload(*a))  # deterministic
     # Distinct schema-v4 descriptors get distinct keys (and equal ones equal
     # keys): every field — probes, window, warmup included — is load-bearing.
-    assert (key_a == _job_cache_key(_payload(*b))) == (a == b)
+    assert (key_a == job_cache_key(_payload(*b))) == (a == b)
 
 
 @settings(max_examples=50, deadline=None)
@@ -289,4 +289,4 @@ def test_job_cache_key_is_stable_and_field_sensitive(a, b):
 def test_job_cache_key_ignores_dict_ordering(descriptor):
     payload = _payload(*descriptor)
     reordered = dict(reversed(list(payload.items())))
-    assert _job_cache_key(payload) == _job_cache_key(reordered)
+    assert job_cache_key(payload) == job_cache_key(reordered)

@@ -191,12 +191,14 @@ def test_dropped_and_delayed_responses_are_absorbed(tmp_path, serial_digests):
         handle.stop()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
 def test_fully_partitioned_fleet_degrades_to_local_execution(
-    tmp_path, serial_digests
+    tmp_path, serial_digests, workers
 ):
     """Workers registered but silent (partition): after the liveness window
-    the daemon executes cells itself instead of hanging the job."""
-    handle = _start_service(tmp_path, lease_ttl=0.2)
+    the daemon hands the cells to its own executor (serial, or the process
+    pool with ``workers=2``) instead of hanging the job, bit-identically."""
+    handle = _start_service(tmp_path, lease_ttl=0.2, workers=workers)
     try:
         client = ServiceClient(handle.base_url)
         # A ghost: registers, then never claims or heartbeats again.

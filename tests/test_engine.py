@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+import repro.simulation.engine as engine_module
+from repro.errors import JobCancelled
 from repro.registry import WORKLOAD_REGISTRY, register_workload
 from repro.simulation.engine import (
     ExperimentEngine,
@@ -11,6 +13,7 @@ from repro.simulation.engine import (
     ResultCache,
     SweepResult,
     SweepSpec,
+    sweep_jobs,
 )
 from repro.simulation.experiment import ComparisonResult, run_comparison
 from repro.workloads.generators import compute_kernel
@@ -120,6 +123,54 @@ class TestEngineExecution:
             assert comparison.benchmark("test_engine_kernel").baseline.stats.cycles > 0
         finally:
             WORKLOAD_REGISTRY.unregister("test_engine_kernel")
+
+
+class TestLocalExecutor:
+    """``ExperimentEngine.execute``: the pool, its serial fallback, aborts."""
+
+    SPEC = SweepSpec(workloads=["milc", "mcf"], variants=["ooo", "pre"], num_uops=300)
+
+    @staticmethod
+    def _execute(engine, payloads):
+        delivered = []
+        engine.execute(payloads, lambda *result: delivered.append(result))
+        return delivered
+
+    def test_pool_start_failure_falls_back_to_identical_results(self, monkeypatch):
+        serial_engine = ExperimentEngine(workers=1)
+        payloads = serial_engine.expand_job_payloads(
+            sweep_jobs(self.SPEC, serial_engine)
+        )
+        serial = self._execute(serial_engine, payloads)
+        assert [offset for offset, _ in serial] == list(range(len(payloads)))
+
+        def no_pool(*args, **kwargs):
+            raise OSError("process pools are unavailable here")
+
+        monkeypatch.setattr(engine_module, "ProcessPoolExecutor", no_pool)
+        assert self._execute(ExperimentEngine(workers=2), payloads) == serial
+
+    def test_cancellation_from_on_result_propagates_out_of_the_pool(self, monkeypatch):
+        pools = []
+
+        class RecordingPool(engine_module.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        monkeypatch.setattr(engine_module, "ProcessPoolExecutor", RecordingPool)
+        engine = ExperimentEngine(workers=2)
+        payloads = engine.expand_job_payloads(sweep_jobs(self.SPEC, engine))
+        delivered = []
+
+        def on_result(offset, produced):
+            delivered.append(offset)
+            raise JobCancelled()
+
+        with pytest.raises(JobCancelled):
+            engine.execute(payloads, on_result)
+        assert len(pools) == 1  # the pool ran, and the first result aborted it
+        assert delivered == [0]
 
 
 class TestResultCache:

@@ -55,14 +55,24 @@ def payload(n):
     }
 
 
-def never_local(pay):
-    raise AssertionError(f"local fallback must not run (payload {pay})")
+def never_local(payloads, on_result):
+    raise AssertionError(f"local executor must not run (payloads {payloads})")
+
+
+def local_of(execute_cell):
+    """A serial local executor (the engine's shape) over one cell function."""
+
+    def local(payloads, on_result):
+        for offset, pay in enumerate(payloads):
+            on_result(offset, execute_cell(pay))
+
+    return local
 
 
 class Run:
     """Drive FleetCoordinator.execute on a thread; collect deliveries."""
 
-    def __init__(self, coord, record, payloads, local_execute=never_local):
+    def __init__(self, coord, record, payloads, local=never_local):
         self.results = {}
         self.error = None
         self._lock = threading.Lock()
@@ -74,7 +84,7 @@ class Run:
 
         def target():
             try:
-                coord.execute(record, payloads, on_result, local_execute)
+                coord.execute(record, payloads, on_result, local)
             except BaseException as exc:  # noqa: BLE001 — test capture
                 self.error = exc
 
@@ -212,7 +222,7 @@ def test_deregister_reclaims_immediately_and_unknown_worker_is_404():
     worker = coord.register("w")["worker"]
     run = Run(
         coord, record, [payload(0)],
-        local_execute=lambda pay: {"value": pay["config"]["n"]},
+        local=local_of(lambda pay: {"value": pay["config"]["n"]}),
     )
     grant = coord.claim(worker)
     assert grant["cells"]
@@ -221,7 +231,7 @@ def test_deregister_reclaims_immediately_and_unknown_worker_is_404():
     # No workers left: the run degrades to local execution and finishes.
     run.join()
     assert run.error is None and run.results == {0: {"value": 0}}
-    assert record.attempts[grant["cells"][0]["cell"]] == 2  # remote + local
+    assert record.attempts[grant["cells"][0]["cell"]] == 1  # remote only
     with pytest.raises(FleetProtocolError) as excinfo:
         coord.claim(worker)
     assert excinfo.value.status == 404
@@ -232,7 +242,7 @@ def test_draining_worker_gets_no_cells():
     record = JobRecord(id="j000001", seq=1, document={})
     run = Run(
         coord, record, [payload(0)],
-        local_execute=lambda pay: {"value": 1},
+        local=local_of(lambda pay: {"value": 1}),
     )
     worker = coord.register("w")["worker"]
     coord.drain(worker)
@@ -242,6 +252,58 @@ def test_draining_worker_gets_no_cells():
     coord.deregister(worker)
     run.join()  # local fallback finishes the run
     assert run.results == {0: {"value": 1}}
+
+
+def test_no_live_worker_hands_every_pending_cell_to_one_local_call(tmp_path):
+    coord, journal = make_coord(tmp_path)
+    record = JobRecord(id="j000001", seq=1, document={})
+    payloads = [payload(n) for n in range(4)]
+    # Lease cell 0 to a worker, then lose the worker: the reclaimed cell goes
+    # back to the *end* of the pending queue, behind cells 1-3.
+    worker = coord.register("w")["worker"]
+    calls = []
+
+    def local(batch, on_result):
+        calls.append(list(batch))
+        for offset, pay in enumerate(batch):
+            on_result(offset, {"value": pay["config"]["n"]})
+
+    run = Run(coord, record, payloads, local=local)
+    grant = coord.claim(worker)
+    assert [c["payload"] for c in grant["cells"]] == [payloads[0]]
+    coord.deregister(worker)
+    run.join()
+    assert run.error is None
+    assert run.results == {n: {"value": n} for n in range(4)}
+    assert calls == [payloads]  # one call, every pending cell, offset order
+    # Local execution is not a lease: only the remote claim counted.
+    assert record.attempts == {grant["cells"][0]["cell"]: 1}
+    journal.close()
+    lines = (tmp_path / "journal.jsonl").read_text().splitlines()
+    claims = [
+        event
+        for event in map(json.loads, lines)
+        if event["event"] == "lease" and event["action"] == "claim"
+    ]
+    assert [event["worker"] for event in claims] == [worker]
+
+
+def test_local_executor_failure_propagates_once_without_attempts():
+    coord, _ = make_coord()
+    record = JobRecord(id="j000001", seq=1, document={})
+    calls = []
+
+    def failing(batch, on_result):
+        calls.append(len(batch))
+        on_result(0, {"value": 0})
+        raise RuntimeError("local meltdown")
+
+    run = Run(coord, record, [payload(0), payload(1)], local=failing)
+    run.join()
+    assert isinstance(run.error, RuntimeError) and "meltdown" in str(run.error)
+    assert calls == [2]  # no retry of the failed batch
+    assert run.results == {0: {"value": 0}}  # delivered before the failure
+    assert record.attempts == {} and record.quarantined == {}
 
 
 # ----------------------------------------------------- concurrent exclusivity

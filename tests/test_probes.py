@@ -3,7 +3,7 @@
 import pytest
 
 from repro.registry import PROBE_REGISTRY
-from repro.simulation.engine import ExperimentEngine, SweepSpec, _job_cache_key, _job_payload
+from repro.simulation.engine import ExperimentEngine, SweepSpec, job_cache_key, _job_payload
 from repro.simulation.simulator import SimulationRequest, SimulationResult, run_simulation
 from repro.uarch.core import OoOCore
 from repro.uarch.config import CoreConfig
@@ -203,4 +203,4 @@ class TestEngineProbePlumbing:
         with_probe = _job_payload(
             "milc", "pre", source, None, config, None, None, probes=["ipc_timeline"]
         )
-        assert _job_cache_key(without) != _job_cache_key(with_probe)
+        assert job_cache_key(without) != job_cache_key(with_probe)

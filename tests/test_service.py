@@ -34,9 +34,15 @@ from repro.errors import (
 )
 from repro.registry import build_workload_source
 from repro.service import ServiceClient, ServiceError, parse_document
+from repro.service.fleet import CELL_ID_HEX
 from repro.service.journal import JobJournal, next_seq, replay_journal
 from repro.service.server import ServiceThread
-from repro.simulation.engine import ExperimentEngine, SweepResult
+from repro.simulation.engine import (
+    ExperimentEngine,
+    SweepResult,
+    job_cache_key,
+    sweep_jobs,
+)
 from repro.workloads.source import write_trace_file
 
 SWEEP_DOC = {
@@ -500,6 +506,49 @@ def test_restart_resumes_job_killed_mid_run(tmp_path):
         handle.stop()
 
 
+def test_restart_fails_a_resumed_job_whose_cell_is_quarantined(tmp_path):
+    """A cell quarantined in an earlier daemon life fails its resumed job
+    even with no worker registered: the local executor never re-runs it."""
+    state_dir = tmp_path / "state"
+    state_dir.mkdir()
+    parsed = parse_document(SWEEP_DOC)
+    engine = ExperimentEngine()
+    [payload] = engine.expand_job_payloads(sweep_jobs(parsed.spec, engine))
+    cell = job_cache_key(payload)[:CELL_ID_HEX]
+    with JobJournal(state_dir / "journal.jsonl") as journal:
+        journal.append(
+            {
+                "event": "submitted",
+                "id": "j000001",
+                "seq": 1,
+                "document": parsed.document,
+                "description": "forged",
+                "cells": {"total": 1, "cached": 0},
+            }
+        )
+        journal.append({"event": "started", "id": "j000001"})
+        journal.append(
+            {"event": "lease", "action": "claim", "id": "j000001",
+             "lease": "L000001", "worker": "w0001", "cells": [cell]}
+        )
+        journal.append(
+            {"event": "quarantined", "id": "j000001", "cell": cell,
+             "attempts": 1, "error": "worker w0001 crashed on it"}
+        )
+    handle = ServiceThread(state_dir=state_dir)
+    try:
+        client = ServiceClient(handle.base_url)
+        final, _ = wait_for(client, "j000001")
+        assert client.status()["fleet"]["workers"] == []
+        assert final["state"] == "failed"
+        assert final["error_status"] == 500
+        assert f"cell {cell} quarantined after 1 attempt(s)" in final["error"]
+        assert "worker w0001 crashed on it" in final["error"]
+        assert final["quarantined"] == {cell: "worker w0001 crashed on it"}
+    finally:
+        handle.stop()
+
+
 def test_graceful_stop_mid_run_exits_interrupted_and_resumes(
     tmp_path, monkeypatch
 ):
@@ -509,13 +558,13 @@ def test_graceful_stop_mid_run_exits_interrupted_and_resumes(
 
     state_dir = tmp_path / "state"
     gate = threading.Event()
-    real_execute = engine_module._execute_job
+    real_execute = engine_module.execute_cell_payload
 
     def slow_execute(payload):
         gate.wait(30)  # hold the cell until the test has initiated shutdown
         return real_execute(payload)
 
-    monkeypatch.setattr(engine_module, "_execute_job", slow_execute)
+    monkeypatch.setattr(engine_module, "execute_cell_payload", slow_execute)
     handle = ServiceThread(state_dir=state_dir)
     client = ServiceClient(handle.base_url)
     job_id = client.submit(SWEEP_DOC)["id"]
@@ -537,7 +586,7 @@ def test_graceful_stop_mid_run_exits_interrupted_and_resumes(
     stopper.join(timeout=30)
     assert codes == [EXIT_INTERRUPTED]
 
-    monkeypatch.setattr(engine_module, "_execute_job", real_execute)
+    monkeypatch.setattr(engine_module, "execute_cell_payload", real_execute)
     handle = ServiceThread(state_dir=state_dir)
     try:
         client = ServiceClient(handle.base_url)
@@ -617,7 +666,7 @@ def test_simulation_failure_is_500_class(tmp_path, monkeypatch):
     def boom(payload):
         raise RuntimeError("simulated core meltdown")
 
-    monkeypatch.setattr(engine_module, "_execute_job", boom)
+    monkeypatch.setattr(engine_module, "execute_cell_payload", boom)
     monkeypatch.setattr(
         engine_module, "_execute_batch", lambda payloads: [boom(p) for p in payloads]
     )
@@ -684,7 +733,7 @@ def test_cli_failed_job_status_exits_3(tmp_path, capsys, monkeypatch):
     def boom(payload):
         raise RuntimeError("simulated core meltdown")
 
-    monkeypatch.setattr(engine_module, "_execute_job", boom)
+    monkeypatch.setattr(engine_module, "execute_cell_payload", boom)
     monkeypatch.setattr(
         engine_module, "_execute_batch", lambda payloads: [boom(p) for p in payloads]
     )
