@@ -50,14 +50,12 @@ from repro.registry import (
 from repro.simulation import (
     ComparisonResult,
     ExperimentEngine,
-    SimPointRunResult,
     SimulationRequest,
     SimulationResult,
     SweepResult,
     SweepSpec,
     run_comparison,
     run_multicore,
-    run_simpoints,
     run_simulation,
 )
 from repro.uarch import CoreConfig, CoreStats, OoOCore
@@ -102,14 +100,12 @@ __all__ = [
     "workload_names",
     "ComparisonResult",
     "ExperimentEngine",
-    "SimPointRunResult",
     "SimulationRequest",
     "SimulationResult",
     "SweepResult",
     "SweepSpec",
     "run_comparison",
     "run_multicore",
-    "run_simpoints",
     "run_simulation",
     "CoreConfig",
     "CoreStats",

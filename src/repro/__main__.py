@@ -321,7 +321,7 @@ def _cmd_trace_replay(args: argparse.Namespace) -> int:
 
 def _trace_replay_sharded(args: argparse.Namespace, variants: List[str]) -> int:
     """``trace replay --shards N``: split each trace into windows and stitch."""
-    from repro.simulation.shard import run_sharded
+    from repro.simulation.shard import plan_shards, run_sharded
 
     if args.shards < 1:
         raise BadSpecError(f"--shards must be >= 1, got {args.shards}")
@@ -344,12 +344,12 @@ def _trace_replay_sharded(args: argparse.Namespace, variants: List[str]) -> int:
     )
     for source in sources:
         per_variant: Dict[str, Any] = {}
+        plan = plan_shards(source.length, args.shards, args.warmup_uops)
         for variant in variants:
             result = run_sharded(
                 source,
-                variant=variant,
-                shards=args.shards,
-                warmup_uops=args.warmup_uops,
+                plan,
+                variant,
                 engine=engine,
                 max_cycles=args.max_cycles,
                 probes=list(args.probe or []),

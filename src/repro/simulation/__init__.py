@@ -2,12 +2,9 @@
 
 from repro.simulation.simulator import (
     CoreResult,
-    SimPointIntervalResult,
-    SimPointRunResult,
     SimulationRequest,
     SimulationResult,
     UncoreReport,
-    run_simpoints,
     run_simulation,
 )
 from repro.simulation.multicore import (
@@ -43,13 +40,10 @@ __all__ = [
     "CoreResult",
     "MultiCoreSimulator",
     "MultiCoreSpec",
-    "SimPointIntervalResult",
-    "SimPointRunResult",
     "SimulationRequest",
     "SimulationResult",
     "UncoreReport",
     "run_multicore",
-    "run_simpoints",
     "run_simulation",
     "BenchmarkResult",
     "ComparisonResult",

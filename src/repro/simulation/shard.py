@@ -1,24 +1,32 @@
-"""Sharded single-trace replay: split one trace into windows, stitch the stats.
+"""Windowed single-trace replay: run windows of one trace, stitch the stats.
 
-A full-detail replay of a long recorded trace is embarrassingly serial — one
-core model, one commit stream.  This module trades a little accuracy for
-wall-clock: it splits the trace into ``N`` contiguous shards, expands them
-into windowed engine jobs (:func:`shard_jobs`), runs those through
+A full-detail replay of a long trace is embarrassingly serial — one core
+model, one commit stream.  This module trades a little accuracy for
+wall-clock: a :class:`ShardPlan` names measured windows of the trace, each
+with a warmup prefix and a weight; :func:`shard_jobs` expands them into
+windowed engine jobs, which run through
 :meth:`~repro.simulation.engine.ExperimentEngine.run_jobs` (process pool +
-result cache), and combines the per-shard statistics into whole-trace
-estimates with the same weighting rule the SimPoint path uses
-(:func:`~repro.simulation.simulator._weighted_core_stats`).
+result cache), and :func:`stitch` folds the per-window statistics by weight
+into whole-trace estimates (:func:`_weighted_core_stats`).
 
-Each shard after the first starts from a cold core, which is not how those
-micro-ops execute in an unsharded run.  Two mitigations keep the estimate
-honest:
+Two planners build a plan:
 
-* a **warmup prefix**: each shard first simulates up to ``warmup_uops``
-  micro-ops *preceding* its window — warming caches, branch predictors and
-  queues — and the stats-reset seam in the core excludes those commits from
-  the shard's statistics;
-* **exactness by construction** for the degenerate plan: one shard with zero
-  warmup covers the whole trace, bypasses stitching entirely, and is
+* :func:`plan_shards` splits the trace into ``N`` contiguous windows, each
+  weighted by its length;
+* :func:`plan_simpoints` clusters the trace's intervals (the paper's
+  SimPoint methodology, :class:`~repro.workloads.simpoint.SimPointSampler`)
+  and keeps one representative window per cluster, weighted by its
+  cluster's share of the trace.
+
+Each window starts from a cold core, which is not how those micro-ops
+execute in a whole run.  Two mitigations keep the estimate honest:
+
+* a **warmup prefix**: each window first simulates up to ``warmup_uops``
+  micro-ops *preceding* it — warming caches, branch predictors and queues —
+  and the stats-reset seam in the core excludes those commits from the
+  window's statistics;
+* **exactness by construction** for the degenerate plan: one window with
+  zero warmup covers the whole trace, bypasses stitching entirely, and is
   bit-identical to an ordinary
   :func:`~repro.simulation.simulator.run_simulation` call (it even shares
   the same result-cache key).
@@ -26,18 +34,17 @@ honest:
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.memory.hierarchy import HierarchyConfig
 from repro.serde import JSONSerializable
 from repro.simulation.engine import ExperimentEngine, JobSpec
-from repro.simulation.simulator import (
-    SimulationResult,
-    _weighted_core_stats,
-)
+from repro.simulation.simulator import SimulationResult
 from repro.uarch.config import CoreConfig
 from repro.uarch.stats import CoreStats
+from repro.workloads.simpoint import SimPointSampler
 from repro.workloads.trace import TraceSource
 
 
@@ -75,17 +82,18 @@ class Shard(JSONSerializable):
 
 @dataclass(frozen=True)
 class ShardPlan(JSONSerializable):
-    """A deterministic split of a known-length trace into measured windows.
+    """Measured windows of one trace, each with a warmup prefix and a weight.
 
-    The shards partition ``[0, total_uops)`` exactly: contiguous,
-    non-overlapping, in order.  ``warmup_uops`` is the *requested* warmup;
-    each shard's actual prefix is clamped so it never reaches before the
-    trace's beginning (shard 0 always has zero warmup).
+    The windows are sorted, disjoint and inside ``[0, total_uops)``, and the
+    weights (one per shard, in shard order) sum to 1.0.  ``warmup_uops`` is
+    the *requested* warmup; each shard's actual prefix is clamped so it never
+    reaches before the trace's beginning.
     """
 
     total_uops: int
     warmup_uops: int
     shards: Tuple[Shard, ...]
+    weights: Tuple[float, ...]
 
     @property
     def exact(self) -> bool:
@@ -101,19 +109,34 @@ class ShardPlan(JSONSerializable):
             and self.shards[0].end == self.total_uops
         )
 
-    def weights(self) -> List[float]:
-        """Each shard's share of the trace (sums to 1.0)."""
-        return [shard.measured_uops / self.total_uops for shard in self.shards]
+
+def _plan(
+    total_uops: int,
+    warmup_uops: int,
+    windows: Sequence[Tuple[int, int]],
+    weights: Sequence[float],
+) -> ShardPlan:
+    """A plan of ``windows``, each warmup prefix clamped at the trace's start."""
+    shards = tuple(
+        Shard(index, start, end, warmup_start=max(0, start - warmup_uops))
+        for index, (start, end) in enumerate(windows)
+    )
+    return ShardPlan(
+        total_uops=total_uops,
+        warmup_uops=warmup_uops,
+        shards=shards,
+        weights=tuple(weights),
+    )
 
 
 def plan_shards(total_uops: int, num_shards: int, warmup_uops: int = 0) -> ShardPlan:
     """Split ``total_uops`` micro-ops into ``num_shards`` contiguous windows.
 
-    Windows are as equal as possible (the remainder goes to the earliest
-    shards, so sizes differ by at most one micro-op) and each shard's warmup
-    prefix is ``warmup_uops`` clamped at the trace's beginning.  More shards
-    than micro-ops is quietly clamped rather than an error — tiny traces
-    still shard.
+    The windows partition ``[0, total_uops)`` in order and are as equal as
+    possible (the remainder goes to the earliest shards, so sizes differ by
+    at most one micro-op); each weighs its share of the trace, and shard 0
+    always has zero warmup.  More shards than micro-ops is quietly clamped
+    rather than an error — tiny traces still shard.
     """
     if total_uops <= 0:
         raise ValueError(f"cannot shard an empty trace (total_uops={total_uops})")
@@ -123,22 +146,48 @@ def plan_shards(total_uops: int, num_shards: int, warmup_uops: int = 0) -> Shard
         raise ValueError(f"warmup_uops must be >= 0, got {warmup_uops}")
     num_shards = min(num_shards, total_uops)
     base, remainder = divmod(total_uops, num_shards)
-    shards: List[Shard] = []
+    windows: List[Tuple[int, int]] = []
     start = 0
     for index in range(num_shards):
-        size = base + (1 if index < remainder else 0)
-        end = start + size
-        shards.append(
-            Shard(
-                index=index,
-                start=start,
-                end=end,
-                warmup_start=max(0, start - warmup_uops),
-            )
-        )
+        end = start + base + (1 if index < remainder else 0)
+        windows.append((start, end))
         start = end
-    return ShardPlan(
-        total_uops=total_uops, warmup_uops=warmup_uops, shards=tuple(shards)
+    return _plan(
+        total_uops,
+        warmup_uops,
+        windows,
+        [(end - start) / total_uops for start, end in windows],
+    )
+
+
+def plan_simpoints(
+    source: TraceSource,
+    interval_size: int = 2_000,
+    max_clusters: int = 4,
+    seed: int = 0,
+    warmup_uops: int = 0,
+) -> ShardPlan:
+    """One window per SimPoint cluster of ``source``, weighted by cluster size.
+
+    One streaming :meth:`~repro.workloads.simpoint.SimPointSampler.select_source`
+    pass picks the representative intervals and counts the stream's length,
+    so a length-less source is never materialised.  Each interval becomes a
+    shard whose warmup prefix is ``warmup_uops`` clamped at the trace's
+    beginning.
+    """
+    if warmup_uops < 0:
+        raise ValueError(f"warmup_uops must be >= 0, got {warmup_uops}")
+    sampler = SimPointSampler(
+        interval_size=interval_size, max_clusters=max_clusters, seed=seed
+    )
+    intervals, total_uops = sampler.select_source(source)
+    if total_uops <= 0:
+        raise ValueError(f"cannot shard an empty trace (total_uops={total_uops})")
+    return _plan(
+        total_uops,
+        warmup_uops,
+        [(interval.start, interval.end) for interval in intervals],
+        [interval.weight for interval in intervals],
     )
 
 
@@ -153,7 +202,7 @@ class ShardResult(JSONSerializable):
 
 @dataclass
 class ShardedRunResult(JSONSerializable):
-    """A sharded replay: per-shard runs plus stitched whole-trace estimates."""
+    """A windowed run: per-shard runs plus stitched whole-trace estimates."""
 
     variant: str
     trace_name: str
@@ -214,9 +263,8 @@ def shard_jobs(
 
 def run_sharded(
     trace: TraceSource,
+    plan: ShardPlan,
     variant: str = "pre",
-    shards: int = 1,
-    warmup_uops: int = 0,
     *,
     engine: Optional[ExperimentEngine] = None,
     config: Optional[CoreConfig] = None,
@@ -224,23 +272,19 @@ def run_sharded(
     max_cycles: Optional[int] = None,
     probes: Sequence[str] = (),
 ) -> ShardedRunResult:
-    """Replay one trace as ``shards`` parallel windows and stitch the stats.
+    """Run ``plan``'s windows of ``trace`` as engine jobs and stitch the stats.
 
-    The trace's length must be discoverable: recorded trace files and
-    in-memory traces know theirs; an unbounded generator source is
-    materialised first (at which point sharding it is pointless but legal).
+    ``plan`` comes from :func:`plan_shards` (given the trace's length) or
+    :func:`plan_simpoints` (which counts a length-less stream itself).
     ``probes`` must be registry names — every shard gets fresh instances, and
     windowed jobs cross the engine's process/serde boundary.  ``engine``
     (default: a serial, uncached one) supplies workers and the result cache.
 
-    ``shards=1`` with ``warmup_uops=0`` is the exact path: the single window
-    is normalised to an un-windowed job (same cache key as a plain replay)
-    and its statistics are returned as-is, skipping the weighted stitch and
-    its float round-off entirely.
+    The exact plan (one whole-trace window, zero warmup) is normalised to an
+    un-windowed job (same cache key as a plain replay) and its statistics are
+    returned as-is, skipping the weighted stitch and its float round-off
+    entirely.
     """
-    if trace.length is None:
-        trace = trace.materialize()
-    plan = plan_shards(trace.length, shards, warmup_uops)
     jobs = shard_jobs(
         trace,
         plan,
@@ -263,7 +307,7 @@ def stitch(
     """Fold the results of :func:`shard_jobs`, in shard order, into one replay."""
     shard_results = [
         ShardResult(shard=shard, weight=weight, result=result)
-        for shard, weight, result in zip(plan.shards, plan.weights(), results)
+        for shard, weight, result in zip(plan.shards, plan.weights, results)
     ]
     if plan.exact:
         # The single whole-trace window *is* the run; no weighting, no
@@ -283,6 +327,44 @@ def stitch(
         stitched_stats=stitched,
         exact=plan.exact,
     )
+
+
+def _weighted_core_stats(
+    weighted: Sequence[Tuple[CoreStats, float]], total_uops: int
+) -> CoreStats:
+    """Scale per-interval stats to whole-trace estimates (SimPoint weighting).
+
+    Every integer counter is treated as a per-committed-uop rate, combined
+    across intervals by weight and scaled to ``total_uops``; the classic
+    ``CPI = sum(w_i * CPI_i)`` falls out of the ``cycles`` field.  List-valued
+    fields (intervals, snapshots) are per-window artifacts and stay empty.
+    Intervals that committed nothing (e.g. a ``max_cycles`` budget expired
+    mid-miss) carry no rate information, so the remaining weights are
+    renormalised rather than silently shrinking every estimate.
+    """
+    aggregate = CoreStats()
+    usable = [(stats, weight) for stats, weight in weighted if stats.committed_uops]
+    total_weight = sum(weight for _, weight in usable)
+    if not usable or not total_uops or not total_weight:
+        return aggregate
+    for stats_field in dataclasses.fields(CoreStats):
+        if stats_field.name == "events":
+            continue
+        if not isinstance(getattr(aggregate, stats_field.name), int):
+            continue
+        rate = sum(
+            weight * getattr(stats, stats_field.name) / stats.committed_uops
+            for stats, weight in usable
+        )
+        setattr(aggregate, stats_field.name, round(rate / total_weight * total_uops))
+    for event_field in dataclasses.fields(type(aggregate.events)):
+        rate = sum(
+            weight * getattr(stats.events, event_field.name) / stats.committed_uops
+            for stats, weight in usable
+        )
+        setattr(aggregate.events, event_field.name, round(rate / total_weight * total_uops))
+    aggregate.committed_uops = total_uops
+    return aggregate
 
 
 # ------------------------------------------------------- declarative replays
@@ -329,6 +411,7 @@ __all__ = [
     "ShardResult",
     "ShardedRunResult",
     "plan_shards",
+    "plan_simpoints",
     "run_sharded",
     "shard_jobs",
     "stitch",

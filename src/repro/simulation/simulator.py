@@ -10,16 +10,13 @@ A workload is any :class:`~repro.workloads.trace.TraceSource`: an in-memory
 trace file or SimPoint window, which the core consumes lazily.
 Instrumentation probes (registry names or
 :class:`~repro.uarch.probes.Probe` instances) can be attached per run; their
-findings land in :attr:`SimulationResult.probe_reports`.
-
-:func:`run_simpoints` is the SimPoint execution path the paper's methodology
-implies: cluster a workload's intervals, run only the representative windows
-as engine jobs, and report weighted whole-trace statistics.
+findings land in :attr:`SimulationResult.probe_reports`.  Windowed runs
+(contiguous shards or SimPoint intervals) live in
+:mod:`repro.simulation.shard`.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -34,7 +31,6 @@ from repro.uarch.config import CoreConfig
 from repro.uarch.core import OoOCore, run_lockstep
 from repro.uarch.probes import Probe, build_probe, default_probes
 from repro.uarch.stats import CoreStats
-from repro.workloads.simpoint import SimPointSampler
 from repro.workloads.trace import TraceSource
 
 #: Accepted probe argument: registry names or ready-made instances.
@@ -292,156 +288,3 @@ def run_simulation(
     result.cores = []
     result.uncore = None
     return result
-
-
-# ---------------------------------------------------------- SimPoint execution
-
-
-@dataclass
-class SimPointIntervalResult(JSONSerializable):
-    """One representative interval's window run."""
-
-    start: int
-    end: int
-    weight: float
-    result: SimulationResult
-
-    @property
-    def length(self) -> int:
-        """Micro-ops in the interval."""
-        return self.end - self.start
-
-
-@dataclass
-class SimPointRunResult(JSONSerializable):
-    """A SimPoint-sampled simulation: window runs plus weighted whole-trace stats."""
-
-    variant: str
-    trace_name: str
-    total_uops: int
-    simulated_uops: int
-    intervals: List[SimPointIntervalResult]
-    weighted_stats: CoreStats
-
-    @property
-    def weighted_ipc(self) -> float:
-        """Whole-trace IPC estimated from the weighted interval runs."""
-        return self.weighted_stats.ipc
-
-    @property
-    def sampling_fraction(self) -> float:
-        """Fraction of the trace actually simulated."""
-        return self.simulated_uops / self.total_uops if self.total_uops else 0.0
-
-
-def _weighted_core_stats(
-    weighted: Sequence[Tuple[CoreStats, float]], total_uops: int
-) -> CoreStats:
-    """Scale per-interval stats to whole-trace estimates (SimPoint weighting).
-
-    Every integer counter is treated as a per-committed-uop rate, combined
-    across intervals by weight and scaled to ``total_uops``; the classic
-    ``CPI = sum(w_i * CPI_i)`` falls out of the ``cycles`` field.  List-valued
-    fields (intervals, snapshots) are per-window artifacts and stay empty.
-    Intervals that committed nothing (e.g. a ``max_cycles`` budget expired
-    mid-miss) carry no rate information, so the remaining weights are
-    renormalised rather than silently shrinking every estimate.
-    """
-    aggregate = CoreStats()
-    usable = [(stats, weight) for stats, weight in weighted if stats.committed_uops]
-    total_weight = sum(weight for _, weight in usable)
-    if not usable or not total_uops or not total_weight:
-        return aggregate
-    for stats_field in dataclasses.fields(CoreStats):
-        if stats_field.name == "events":
-            continue
-        if not isinstance(getattr(aggregate, stats_field.name), int):
-            continue
-        rate = sum(
-            weight * getattr(stats, stats_field.name) / stats.committed_uops
-            for stats, weight in usable
-        )
-        setattr(aggregate, stats_field.name, round(rate / total_weight * total_uops))
-    for event_field in dataclasses.fields(type(aggregate.events)):
-        rate = sum(
-            weight * getattr(stats.events, event_field.name) / stats.committed_uops
-            for stats, weight in usable
-        )
-        setattr(aggregate.events, event_field.name, round(rate / total_weight * total_uops))
-    aggregate.committed_uops = total_uops
-    return aggregate
-
-
-def run_simpoints(
-    trace: TraceSource,
-    variant: str = "pre",
-    config: Optional[CoreConfig] = None,
-    hierarchy_config: Optional[HierarchyConfig] = None,
-    max_cycles: Optional[int] = None,
-    probes: Optional[Sequence[str]] = None,
-    interval_size: int = 2_000,
-    max_clusters: int = 4,
-    seed: int = 0,
-    engine: Optional[Any] = None,
-) -> SimPointRunResult:
-    """Simulate only a workload's representative SimPoint intervals.
-
-    The sampler clusters fixed-size intervals in one streaming pass (no
-    materialisation), each representative interval runs as a windowed
-    :class:`~repro.simulation.engine.JobSpec`, and the per-interval
-    statistics are combined with the clusters' weights into whole-trace
-    estimates — strictly fewer micro-ops simulated than a full run, one
-    weighted answer out.
-
-    Interval jobs run through ``engine`` (default: a serial, uncached
-    :class:`~repro.simulation.engine.ExperimentEngine`): pass one with
-    workers and a cache directory and intervals run on the process pool and
-    land in the shared :class:`~repro.simulation.engine.ResultCache` — a
-    repeated SimPoint run re-simulates nothing.
-
-    ``probes`` must be registry *names*: each interval gets fresh probe
-    instances, so per-interval ``probe_reports`` never accumulate state
-    across windows.  (A shared ``Probe`` instance would silently sum all
-    intervals into the later reports, so the engine rejects instances.)
-    """
-    # Local import: engine.py imports this module at load time.
-    from repro.simulation.engine import ExperimentEngine, JobSpec
-
-    sampler = SimPointSampler(
-        interval_size=interval_size, max_clusters=max_clusters, seed=seed
-    )
-    intervals, total_uops = sampler.select_source(trace)
-    jobs = [
-        JobSpec(
-            variant=variant,
-            trace=trace,
-            config=config,
-            hierarchy_config=hierarchy_config,
-            max_cycles=max_cycles,
-            probes=list(probes or ()),
-            window=(interval.start, interval.end),
-        )
-        for interval in intervals
-    ]
-    results = (engine or ExperimentEngine()).run_jobs(jobs)
-    interval_results = [
-        SimPointIntervalResult(
-            start=interval.start,
-            end=interval.end,
-            weight=interval.weight,
-            result=result,
-        )
-        for interval, result in zip(intervals, results)
-    ]
-    weighted_stats = _weighted_core_stats(
-        [(entry.result.stats, entry.weight) for entry in interval_results],
-        total_uops,
-    )
-    return SimPointRunResult(
-        variant=variant,
-        trace_name=trace.name,
-        total_uops=total_uops,
-        simulated_uops=sum(entry.length for entry in interval_results),
-        intervals=interval_results,
-        weighted_stats=weighted_stats,
-    )

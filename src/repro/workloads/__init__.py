@@ -44,7 +44,7 @@ from repro.workloads.spec_surrogates import (
     surrogate_names,
     surrogate_suite,
 )
-from repro.workloads.simpoint import SimPointInterval, SimPointSampler, sample_trace
+from repro.workloads.simpoint import SimPointInterval, SimPointSampler
 
 __all__ = [
     "ArchReg",
@@ -75,5 +75,4 @@ __all__ = [
     "surrogate_suite",
     "SimPointInterval",
     "SimPointSampler",
-    "sample_trace",
 ]

@@ -11,17 +11,17 @@ its cluster's size.
 Selection works on *streams*: :meth:`SimPointSampler.select_source` profiles
 any :class:`~repro.workloads.trace.TraceSource` in a single pass without
 materialising it, so arbitrarily long workloads can be sampled at O(intervals
-x unique PCs) memory.  The selected intervals drive execution through
-:class:`~repro.workloads.source.WindowedSource` (see
-:func:`repro.simulation.simulator.run_simpoints`), with per-interval
-statistics combined by cluster weight into whole-trace estimates.
+x unique PCs) memory.  :func:`repro.simulation.shard.plan_simpoints` turns the
+selected intervals into a weighted shard plan with warmup prefixes, and
+:func:`repro.simulation.shard.run_sharded` runs it and combines the
+per-interval statistics by cluster weight into whole-trace estimates.
 
 Determinism
 -----------
 Clustering never touches the global :mod:`random` state: randomness comes
-from a private ``random.Random`` seeded with the sampler's ``seed`` (or an
-explicitly injected ``rng``), so results are reproducible regardless of what
-the calling program did to the global generator.
+from a private ``random.Random`` seeded with the sampler's ``seed``, so
+results are reproducible regardless of what the calling program did to the
+global generator.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.workloads.trace import Trace, TraceSource
+from repro.workloads.trace import TraceSource
 
 
 @dataclass(frozen=True)
@@ -63,11 +63,6 @@ class SimPointSampler:
         Upper bound on k (capped by the number of intervals).
     seed:
         Seed for the private k-means initialisation RNG.
-    rng:
-        Optional pre-seeded ``random.Random`` used *instead of* ``seed``.
-        Injecting one lets callers share a reproducible random stream across
-        components; the global :mod:`random` module state is never consulted
-        either way.
     """
 
     def __init__(
@@ -75,7 +70,6 @@ class SimPointSampler:
         interval_size: int = 2_000,
         max_clusters: int = 4,
         seed: int = 0,
-        rng: Optional[random.Random] = None,
     ) -> None:
         if interval_size <= 0:
             raise ValueError("interval_size must be positive")
@@ -84,16 +78,6 @@ class SimPointSampler:
         self.interval_size = interval_size
         self.max_clusters = max_clusters
         self.seed = seed
-        self.rng = rng
-
-    def _clustering_rng(self) -> random.Random:
-        if self.rng is not None:
-            return self.rng
-        return random.Random(self.seed)
-
-    def intervals(self, trace: Trace) -> List[Tuple[int, int]]:
-        """Split the trace into contiguous, fixed-size intervals."""
-        return self._interval_bounds(len(trace))
 
     def _interval_bounds(self, total: int) -> List[Tuple[int, int]]:
         bounds = []
@@ -124,11 +108,6 @@ class SimPointSampler:
             interval_counts.append(current)
         return interval_counts, pcs, index
 
-    def select(self, trace: Trace) -> List[SimPointInterval]:
-        """Return representative intervals with weights summing to 1."""
-        intervals, _ = self.select_source(trace)
-        return intervals
-
     def select_source(
         self, source: TraceSource
     ) -> Tuple[List[SimPointInterval], int]:
@@ -153,7 +132,7 @@ class SimPointSampler:
             vectors.append(vector)
 
         k = min(self.max_clusters, len(vectors))
-        rng = self._clustering_rng()
+        rng = random.Random(self.seed)
         centroids = [list(vectors[i]) for i in rng.sample(range(len(vectors)), k)]
         assignment = [0] * len(vectors)
         for _ in range(12):
@@ -187,19 +166,3 @@ class SimPointSampler:
             )
         return sorted(selected, key=lambda interval: interval.start), total
 
-
-def sample_trace(
-    trace: Trace, interval_size: int = 2_000, max_clusters: int = 4, seed: int = 0
-) -> Trace:
-    """Return a smaller trace made of the representative intervals, concatenated.
-
-    The representative intervals are concatenated in program order.  The
-    resulting trace preserves the mix of behaviours while being a fraction of
-    the original length — the same role SimPoints play in the paper.
-    """
-    sampler = SimPointSampler(interval_size=interval_size, max_clusters=max_clusters, seed=seed)
-    intervals = sampler.select(trace)
-    uops = []
-    for interval in intervals:
-        uops.extend(trace[index] for index in range(interval.start, interval.end))
-    return Trace(uops, name=f"{trace.name}.simpoints")

@@ -12,8 +12,8 @@ multi-variant runs:
   :func:`write_trace_file` (the ``python -m repro trace record|info|replay``
   CLI surface);
 * :class:`WindowedSource` — restricts any source to one ``[start, end)``
-  interval, which is how SimPoint intervals finally drive execution (see
-  :func:`repro.simulation.simulator.run_simpoints`).
+  interval, which is how each window of a shard or SimPoint plan runs (see
+  :mod:`repro.simulation.shard`).
 
 The core reads each of them, like a ``Trace``, through a
 :class:`~repro.workloads.trace.StreamingCursor`.

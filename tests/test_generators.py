@@ -10,7 +10,7 @@ from repro.workloads.generators import (
     random_access_kernel,
     strided_stream,
 )
-from repro.workloads.simpoint import SimPointSampler, sample_trace
+from repro.workloads.simpoint import SimPointSampler
 from repro.workloads.spec_surrogates import (
     SPEC_SURROGATES,
     build_surrogate,
@@ -125,17 +125,12 @@ class TestSimPoint:
     def test_sampler_covers_trace(self):
         trace = build_surrogate("milc", num_uops=4000)
         sampler = SimPointSampler(interval_size=500, max_clusters=3, seed=1)
-        intervals = sampler.select(trace)
+        intervals, total = sampler.select_source(trace)
+        assert total == len(trace)
         assert intervals
         assert sum(interval.weight for interval in intervals) == pytest.approx(1.0)
         for interval in intervals:
             assert 0 <= interval.start < interval.end <= len(trace)
-
-    def test_sample_trace_is_smaller(self):
-        trace = build_surrogate("milc", num_uops=4000)
-        sampled = sample_trace(trace, interval_size=500, max_clusters=2)
-        assert 0 < len(sampled) <= len(trace)
-        assert sampled.name.endswith(".simpoints")
 
     def test_invalid_parameters_raise(self):
         with pytest.raises(ValueError):
@@ -146,4 +141,4 @@ class TestSimPoint:
     def test_empty_trace(self):
         from repro.workloads.trace import Trace
 
-        assert SimPointSampler().select(Trace([])) == []
+        assert SimPointSampler().select_source(Trace([])) == ([], 0)

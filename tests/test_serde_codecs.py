@@ -27,7 +27,12 @@ from repro.serde import from_jsonable, to_jsonable, write_json
 from repro.simulation.engine import ExperimentEngine, JobSpec, SweepResult, SweepSpec
 from repro.simulation.golden import DEFAULT_GOLDEN_VARIANTS, DEFAULT_GOLDEN_WORKLOADS
 from repro.simulation.multicore import CoreAssignment, MultiCoreSpec
-from repro.simulation.shard import ReplaySpec, ShardedRunResult, run_sharded
+from repro.simulation.shard import (
+    ReplaySpec,
+    ShardedRunResult,
+    plan_shards,
+    run_sharded,
+)
 from repro.simulation.simulator import SimulationRequest
 from repro.simulation.study import (
     AxisPoint,
@@ -193,9 +198,9 @@ def test_study_matches_reference():
 def test_sharded_replay_matches_reference(tmp_path):
     path = tmp_path / "milc.trc"
     write_trace_file(path, build_workload("milc", num_uops=600))
+    source = FileTraceSource(path)
     result = run_sharded(
-        FileTraceSource(path), variant="pre", shards=3, warmup_uops=50,
-        engine=ExperimentEngine(),
+        source, plan_shards(source.length, 3, 50), "pre", engine=ExperimentEngine()
     )
     assert isinstance(result, ShardedRunResult) and len(result.shards) == 3
     assert_matches_reference(result)

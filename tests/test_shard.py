@@ -1,9 +1,11 @@
-"""Sharded single-trace replay: planning invariants, stitching, exactness.
+"""Windowed single-trace replay: planning invariants, stitching, exactness.
 
-The tentpole contract has three layers, each tested here:
+The contract has three layers, each tested here:
 
 * :func:`~repro.simulation.shard.plan_shards` is a deterministic partition —
-  property-tested (hypothesis) over arbitrary sizes/shard counts/warmups;
+  property-tested (hypothesis) over arbitrary sizes/shard counts/warmups —
+  and :func:`~repro.simulation.shard.plan_simpoints` yields sorted, disjoint,
+  weighted windows with clamped warmup prefixes;
 * stitching never lies about totals: stitched ``committed_uops`` equals the
   unsharded count, per-shard stats never include warmup commits, and the
   4-shard estimate stays within tolerance of the unsharded truth on every
@@ -23,15 +25,16 @@ from repro.simulation.shard import (
     Shard,
     ShardedRunResult,
     plan_shards,
+    plan_simpoints,
     run_sharded,
 )
-from repro.simulation.simulator import SimulationRequest, run_simpoints, run_simulation
+from repro.simulation.simulator import SimulationRequest, run_simulation
 from repro.workloads.generators import strided_stream
 from repro.workloads.source import FileTraceSource, GeneratorSource, write_trace_file
 
 
 class TestPlanShards:
-    """The plan is an exact, ordered partition of [0, total)."""
+    """``plan_shards`` partitions [0, total); ``plan_simpoints`` samples it."""
 
     @given(
         total=st.integers(min_value=1, max_value=100_000),
@@ -64,7 +67,7 @@ class TestPlanShards:
     @settings(max_examples=100, deadline=None)
     def test_weights_sum_to_one(self, total, num_shards):
         plan = plan_shards(total, num_shards)
-        assert sum(plan.weights()) == pytest.approx(1.0)
+        assert sum(plan.weights) == pytest.approx(1.0)
 
     def test_exact_only_for_single_shard_zero_warmup(self):
         assert plan_shards(100, 1).exact
@@ -83,6 +86,33 @@ class TestPlanShards:
             plan_shards(100, 4, warmup_uops=-1)
         with pytest.raises(ValueError, match="shard bounds"):
             Shard(index=0, start=10, end=5, warmup_start=0)
+        trace = build_workload("mcf", num_uops=500)
+        with pytest.raises(ValueError, match="warmup_uops"):
+            plan_simpoints(trace, warmup_uops=-1)
+        with pytest.raises(ValueError, match="empty trace"):
+            plan_simpoints(GeneratorSource(lambda: iter(()), name="empty"))
+        with pytest.raises(ValueError, match="interval_size"):
+            plan_simpoints(trace, interval_size=0)
+
+    @pytest.mark.parametrize("workload", ["milc", "sphinx3"])
+    @pytest.mark.parametrize("warmup", [0, 700, 5_000])
+    def test_simpoint_plan_shape(self, workload, warmup):
+        trace = build_workload(workload, num_uops=6_000)
+        plan = plan_simpoints(
+            trace, interval_size=500, max_clusters=3, warmup_uops=warmup
+        )
+        assert plan.total_uops == len(trace)
+        assert plan.warmup_uops == warmup
+        assert 1 <= len(plan.shards) <= 3
+        assert len(plan.weights) == len(plan.shards)
+        assert sum(plan.weights) == pytest.approx(1.0)
+        # Sorted, disjoint windows inside [0, total).
+        for prev, cur in zip(plan.shards, plan.shards[1:]):
+            assert prev.end <= cur.start
+        for index, shard in enumerate(plan.shards):
+            assert shard.index == index
+            assert 0 <= shard.start < shard.end <= plan.total_uops
+            assert shard.warmup_start == max(0, shard.start - warmup)
 
 
 class TestExactPath:
@@ -91,7 +121,7 @@ class TestExactPath:
     def test_digest_identical_to_run_simulation(self):
         trace = build_workload("sphinx3", num_uops=3_000)
         base = run_simulation(trace, SimulationRequest(variant="ooo"))
-        sharded = run_sharded(trace, variant="ooo", shards=1)
+        sharded = run_sharded(trace, plan_shards(trace.length, 1), "ooo")
         assert sharded.exact
         assert stats_digest(sharded.stitched_stats) == stats_digest(base.stats)
         assert sharded.stitched_stats == base.stats
@@ -104,7 +134,7 @@ class TestExactPath:
             write_trace_file(path, trace, name="milc")
             trace = FileTraceSource(path)
         engine = ExperimentEngine(cache_dir=str(tmp_path / "cache"))
-        run_sharded(trace, variant="ooo", shards=1, engine=engine)
+        run_sharded(trace, plan_shards(trace.length, 1), "ooo", engine=engine)
         assert engine.last_run_stats.simulated == 1
         # The same trace as a plain (un-windowed) job: full cache hit,
         # because the whole-trace window was normalised away.
@@ -119,7 +149,7 @@ class TestStitching:
     def test_committed_uops_and_warmup_isolation(self):
         trace = build_workload("sphinx3", num_uops=6_000)
         base = run_simulation(trace, SimulationRequest(variant="ooo"))
-        sharded = run_sharded(trace, variant="ooo", shards=4, warmup_uops=750)
+        sharded = run_sharded(trace, plan_shards(trace.length, 4, 750), "ooo")
         assert not sharded.exact
         # Stitched totals equal the unsharded run's committed count exactly.
         assert sharded.stitched_stats.committed_uops == base.stats.committed_uops
@@ -138,25 +168,28 @@ class TestStitching:
     def test_four_shard_ipc_within_tolerance(self, workload):
         trace = build_workload(workload, num_uops=12_000)
         base = run_simulation(trace, SimulationRequest(variant="ooo"))
-        sharded = run_sharded(trace, variant="ooo", shards=4, warmup_uops=5_000)
+        sharded = run_sharded(trace, plan_shards(trace.length, 4, 5_000), "ooo")
         assert sharded.stitched_ipc == pytest.approx(base.ipc, rel=0.02)
 
     def test_serde_round_trip(self):
         trace = build_workload("mcf", num_uops=2_000)
-        sharded = run_sharded(trace, variant="ooo", shards=3, warmup_uops=200)
+        sharded = run_sharded(trace, plan_shards(trace.length, 3, 200), "ooo")
         restored = ShardedRunResult.from_dict(sharded.to_dict())
         assert restored == sharded
 
-    def test_unknown_length_source_is_materialized(self):
-        # A GeneratorSource without an explicit length: run_sharded must
-        # materialise it to discover the shard boundaries.
+    def test_unknown_length_source_runs_through_simpoint_plan(self):
+        # A GeneratorSource without an explicit length: the SimPoint planner
+        # counts the stream while profiling it, so nothing is materialised.
         source = GeneratorSource(
-            lambda: iter(strided_stream(num_uops=2_000)), name="stride"
+            lambda: iter(strided_stream(num_uops=6_000)), name="stride"
         )
         assert source.length is None
-        sharded = run_sharded(source, variant="ooo", shards=2)
-        assert sharded.total_uops == len(strided_stream(num_uops=2_000))
-        assert len(sharded.shards) == 2
+        sharded = run_sharded(
+            source, plan_simpoints(source, interval_size=1_000, max_clusters=2), "ooo"
+        )
+        assert sharded.total_uops == len(strided_stream(num_uops=6_000))
+        assert sharded.stitched_stats.committed_uops == sharded.total_uops
+        assert 1 <= len(sharded.shards) <= 2
 
     def test_probe_instances_rejected(self):
         from repro.registry import PROBE_REGISTRY
@@ -164,7 +197,7 @@ class TestStitching:
         instance = PROBE_REGISTRY.entries()[0].create()
         trace = build_workload("mcf", num_uops=500)
         with pytest.raises(TypeError, match="registry names"):
-            run_sharded(trace, variant="ooo", probes=[instance])
+            run_sharded(trace, plan_shards(trace.length, 1), "ooo", probes=[instance])
 
 
 class TestEngineWindows:
@@ -231,9 +264,10 @@ class TestEngineWindows:
     def test_simpoints_hit_shared_cache(self, tmp_path):
         trace = build_workload("sphinx3", num_uops=6_000)
         engine = ExperimentEngine(cache_dir=str(tmp_path / "cache"))
-        first = run_simpoints(trace, variant="ooo", engine=engine)
+        plan = plan_simpoints(trace, warmup_uops=1_000)
+        first = run_sharded(trace, plan, "ooo", engine=engine)
         assert engine.last_run_stats.simulated > 0
-        second = run_simpoints(trace, variant="ooo", engine=engine)
+        second = run_sharded(trace, plan, "ooo", engine=engine)
         assert engine.last_run_stats.simulated == 0
         assert engine.last_run_stats.cache_hits == engine.last_run_stats.total_jobs
         assert second == first
