@@ -157,8 +157,11 @@ class SimPointSampler:
             members = [i for i in range(len(vectors)) if assignment[i] == c]
             if not members:
                 continue
+            # Ties (a single-phase trace puts every interval on its centroid)
+            # go to the latest interval: it has the most history before it
+            # for a warmup prefix.
             representative = min(
-                members, key=lambda i: _distance(vectors[i], centroids[c])
+                members, key=lambda i: (_distance(vectors[i], centroids[c]), -i)
             )
             start, end = bounds[representative]
             selected.append(

@@ -33,6 +33,23 @@ from repro.workloads.generators import strided_stream
 from repro.workloads.source import FileTraceSource, GeneratorSource, write_trace_file
 
 
+@pytest.fixture(scope="module")
+def exact_12k():
+    """A Figure-2 workload's 12k-uop trace and exact ooo run, built once each."""
+    runs = {}
+
+    def get(workload):
+        if workload not in runs:
+            trace = build_workload(workload, num_uops=12_000)
+            runs[workload] = (
+                trace,
+                run_simulation(trace, SimulationRequest(variant="ooo")),
+            )
+        return runs[workload]
+
+    return get
+
+
 class TestPlanShards:
     """``plan_shards`` partitions [0, total); ``plan_simpoints`` samples it."""
 
@@ -114,6 +131,15 @@ class TestPlanShards:
             assert 0 <= shard.start < shard.end <= plan.total_uops
             assert shard.warmup_start == max(0, shard.start - warmup)
 
+    def test_single_phase_trace_plans_latest_interval(self):
+        # Every interval of libquantum has the same PC vector; the tie goes
+        # to the last one, which a warmup prefix can reach.
+        trace = build_workload("libquantum", num_uops=12_000)
+        plan = plan_simpoints(trace, warmup_uops=2_000)
+        assert [(shard.start, shard.end) for shard in plan.shards] == [(10_000, 12_000)]
+        assert plan.shards[0].warmup_uops == 2_000
+        assert plan.weights == (1.0,)
+
 
 class TestExactPath:
     """shards=1 with zero warmup is the unsharded run, bit for bit."""
@@ -165,11 +191,22 @@ class TestStitching:
         assert sharded.simulated_uops > sharded.total_uops
 
     @pytest.mark.parametrize("workload", DEFAULT_GOLDEN_WORKLOADS)
-    def test_four_shard_ipc_within_tolerance(self, workload):
-        trace = build_workload(workload, num_uops=12_000)
-        base = run_simulation(trace, SimulationRequest(variant="ooo"))
+    def test_four_shard_ipc_within_tolerance(self, workload, exact_12k):
+        trace, base = exact_12k(workload)
         sharded = run_sharded(trace, plan_shards(trace.length, 4, 5_000), "ooo")
         assert sharded.stitched_ipc == pytest.approx(base.ipc, rel=0.02)
+
+    @pytest.mark.parametrize("workload", DEFAULT_GOLDEN_WORKLOADS)
+    def test_simpoint_warmup_reduces_error(self, workload, exact_12k):
+        trace, base = exact_12k(workload)
+        cold, warm = (
+            abs(
+                run_sharded(trace, plan_simpoints(trace, warmup_uops=warmup), "ooo")
+                .stitched_ipc / base.ipc - 1
+            )
+            for warmup in (0, 2_000)
+        )
+        assert warm < cold
 
     def test_serde_round_trip(self):
         trace = build_workload("mcf", num_uops=2_000)
