@@ -62,11 +62,6 @@ class RunaheadBufferStats:
     replay_iterations: int = 0
     total_chain_length: int = 0
 
-    @property
-    def average_chain_length(self) -> float:
-        """Mean extracted chain length in micro-ops."""
-        return self.total_chain_length / self.chains_built if self.chains_built else 0.0
-
 
 class RunaheadBufferController(RunaheadController):
     """Runahead buffer: replay a single stalling slice per runahead interval."""

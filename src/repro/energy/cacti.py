@@ -61,11 +61,3 @@ class SRAMModel:
     def leakage_mw(self) -> float:
         """Leakage power of the array."""
         return sram_leakage_mw(self.capacity_bytes)
-
-    def dynamic_energy_nj(self, reads: int, writes: int) -> float:
-        """Total dynamic energy (nanojoules) for the given access counts."""
-        return (reads * self.read_energy_pj + writes * self.write_energy_pj) / 1000.0
-
-    def static_energy_nj(self, seconds: float) -> float:
-        """Leakage energy (nanojoules) over ``seconds`` of execution."""
-        return self.leakage_mw * 1e-3 * seconds * 1e9

@@ -40,19 +40,6 @@ class EnergyReport(JSONSerializable):
         """Total core + DRAM energy in nanojoules."""
         return self.breakdown.total_nj
 
-    @property
-    def average_power_w(self) -> float:
-        """Average power over the run."""
-        if self.seconds == 0:
-            return 0.0
-        return self.total_nj * 1e-9 / self.seconds
-
-    def savings_relative_to(self, baseline: "EnergyReport") -> float:
-        """Fractional energy saving relative to ``baseline`` (positive = less energy)."""
-        if baseline.total_nj == 0:
-            return 0.0
-        return 1.0 - self.total_nj / baseline.total_nj
-
 
 class EnergyModel:
     """Event-count energy model for the core, the memory system and PRE's structures."""

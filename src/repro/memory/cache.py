@@ -157,7 +157,3 @@ class SetAssociativeCache:
     def resident_lines(self) -> int:
         """Number of lines currently resident (useful for tests)."""
         return sum(len(ways) for ways in self._sets.values())
-
-    def reset_stats(self) -> None:
-        """Zero the access statistics without touching cache contents."""
-        self.stats = CacheStats()

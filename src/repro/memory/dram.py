@@ -77,16 +77,6 @@ class DRAMStats:
         return self.reads + self.writes
 
     @property
-    def total_latency_cycles(self) -> int:
-        """Summed latency over reads and writes."""
-        return self.read_latency_cycles + self.write_latency_cycles
-
-    @property
-    def average_latency(self) -> float:
-        """Average request latency in core cycles (reads and writes)."""
-        return self.total_latency_cycles / self.accesses if self.accesses else 0.0
-
-    @property
     def average_write_latency(self) -> float:
         """Average posted-write (writeback) latency in core cycles."""
         return self.write_latency_cycles / self.writes if self.writes else 0.0

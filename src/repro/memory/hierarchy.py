@@ -422,11 +422,6 @@ class PrivateHierarchy:
         """Public hook to settle all fills due by ``cycle`` (tests, probes)."""
         self._expire_inflight(cycle)
 
-    def inflight_lines(self, cycle: int) -> int:
-        """Number of line fills still outstanding at ``cycle``."""
-        self._expire_inflight(cycle)
-        return self.mshrs.occupancy(cycle)
-
     def can_accept(self, cycle: int) -> bool:
         """Whether a new demand miss could take an MSHR entry at ``cycle``."""
         self._expire_inflight(cycle)

@@ -419,11 +419,6 @@ class FleetCoordinator:
 
     # -------------------------------------------------------------- fleet API
 
-    def live_workers(self) -> int:
-        """Workers heard from within ``worker_timeout`` and not draining."""
-        with self._lock:
-            return self._live_workers_locked(self._clock())
-
     def wake(self) -> None:
         """Wake every executing job thread (used by daemon shutdown)."""
         with self._lock:

@@ -90,11 +90,6 @@ class FrontEnd:
         """Whether every trace micro-op has been fetched."""
         return not self.cursor.has(self.fetch_index)
 
-    @property
-    def is_drained(self) -> bool:
-        """Whether no micro-ops remain anywhere in the front-end."""
-        return self.trace_exhausted and not self._pipe and not self.uop_queue
-
     def next_dispatch_seq(self) -> Optional[int]:
         """Trace index of the next micro-op normal dispatch would consume.
 
@@ -245,11 +240,6 @@ class FrontEnd:
     def peek(self) -> Optional[FetchedUop]:
         """The next micro-op dispatch would consume, without removing it."""
         return self.uop_queue[0] if self.uop_queue else None
-
-    def unpop(self, entries: List[FetchedUop]) -> None:
-        """Return micro-ops to the head of the queue (dispatch could not take them)."""
-        for entry in reversed(entries):
-            self.uop_queue.appendleft(entry)
 
     # ------------------------------------------------------------- redirects
 

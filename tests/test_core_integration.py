@@ -148,7 +148,10 @@ class TestRunaheadBehaviour:
         core = OoOCore(memory_trace, controller=controller)
         core.run(max_cycles=3_000_000)
         assert controller.buffer_stats.chains_built > 0
-        assert controller.buffer_stats.average_chain_length >= 1.0
+        assert (
+            controller.buffer_stats.total_chain_length
+            >= controller.buffer_stats.chains_built
+        )
 
     def test_runahead_buffer_pointer_chase_chain_is_self_dependent(self):
         trace = linked_list_chase(num_uops=MEDIUM)

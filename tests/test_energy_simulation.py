@@ -43,8 +43,7 @@ class TestCactiModel:
     def test_sram_model_totals(self):
         model = SRAMModel("sst", 1024, read_ports=8, write_ports=2)
         assert model.read_energy_pj > 0
-        assert model.dynamic_energy_nj(reads=1000, writes=100) > 0
-        assert model.static_energy_nj(seconds=1e-3) > 0
+        assert model.leakage_mw > 0
 
 
 class TestEnergyBreakdown:
@@ -76,7 +75,6 @@ class TestEnergyModelOnRuns:
             assert result.energy.total_nj > 0
             assert result.energy.breakdown.dynamic_nj > 0
             assert result.energy.breakdown.static_nj > 0
-            assert result.energy.average_power_w > 0
             assert result.energy.seconds > 0
 
     def test_faster_variant_spends_less_static_energy(self, results):
@@ -94,10 +92,6 @@ class TestEnergyModelOnRuns:
         # flush/refill costs amortise), so the bound is loose; the real
         # comparison runs at benchmark scale in benchmarks/test_bench_fig3.
         assert results["pre"].energy.total_nj <= results["runahead"].energy.total_nj * 1.05
-
-    def test_savings_relative_to_is_symmetric_zero(self, results):
-        baseline = results["ooo"].energy
-        assert baseline.savings_relative_to(baseline) == pytest.approx(0.0)
 
 
 class TestMetrics:

@@ -197,7 +197,6 @@ class TestDRAMWritebackTiming:
         direct = hierarchy.dram.access(0x9000, 5_000, is_write=True)
         assert stats.write_latency_cycles == direct
         assert stats.average_write_latency == direct
-        assert stats.total_latency_cycles == stats.read_latency_cycles + direct
 
     def test_write_queue_occupies_shared_bus(self):
         # A burst of posted writes must delay a subsequent read: writeback
@@ -231,7 +230,6 @@ class TestInstructionSideMLP:
         assert hierarchy.mshrs.occupancy(0) == 0
         hierarchy.access_instruction(0x700000, 0)
         assert hierarchy.mshrs.occupancy(0) == 1
-        assert hierarchy.inflight_lines(0) == 1
 
     def test_ifetch_waits_when_mshrs_full(self):
         hierarchy = PrivateHierarchy(HierarchyConfig(mshr_entries=2))

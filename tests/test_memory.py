@@ -66,14 +66,11 @@ class TestCache:
         assert not cache.invalidate(0x2000)
         assert not cache.contains(0x2000)
 
-    def test_resident_lines_and_reset_stats(self):
+    def test_resident_lines(self):
         cache = self.make()
         for i in range(5):
             cache.fill(i * 64)
         assert cache.resident_lines() == 5
-        cache.lookup(0)
-        cache.reset_stats()
-        assert cache.stats.accesses == 0
 
 
 class TestMSHR:
@@ -138,7 +135,7 @@ class TestDRAM:
         assert dram.stats.reads == 1
         assert dram.stats.writes == 1
         assert dram.stats.accesses == 2
-        assert dram.stats.average_latency > 0
+        assert dram.stats.read_latency_cycles > 0
         dram.reset()
         assert dram.stats.accesses == 0
 

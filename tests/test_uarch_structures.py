@@ -368,14 +368,13 @@ class TestFrontEnd:
             frontend.tick(cycle)
         assert len(frontend.uop_queue) > 0
 
-    def test_pop_and_unpop_preserve_order(self):
+    def test_pop_preserves_order(self):
         frontend, _ = self._frontend()
         for cycle in range(0, 20):
             frontend.tick(cycle)
         popped = frontend.pop_uops(3, 20)
         assert [entry.seq for entry in popped] == [0, 1, 2]
-        frontend.unpop(popped)
-        assert frontend.peek().seq == 0
+        assert frontend.peek().seq == 3
 
     def test_redirect_flushes_and_restarts(self):
         frontend, _ = self._frontend()
@@ -398,5 +397,4 @@ class TestFrontEnd:
             frontend.tick(cycle)
             frontend.pop_uops(8, cycle)
         assert frontend.trace_exhausted
-        assert frontend.is_drained
         assert frontend.next_dispatch_seq() is None
