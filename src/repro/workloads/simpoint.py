@@ -42,11 +42,6 @@ class SimPointInterval:
     end: int
     weight: float
 
-    @property
-    def length(self) -> int:
-        """Number of micro-ops in the interval."""
-        return self.end - self.start
-
 
 def _distance(a: Sequence[float], b: Sequence[float]) -> float:
     return math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
