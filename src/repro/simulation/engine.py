@@ -2,8 +2,8 @@
 
 The paper's evaluation is a cross-product of workloads x core variants
 (optionally x configuration overrides, plus SimPoint windows).  Every cell of
-that grid is one :class:`JobSpec`; sweeps (:func:`sweep_jobs`), studies,
-shards and SimPoint intervals are pure functions that build them, and
+that grid is one :class:`JobSpec`; sweeps (:func:`sweep_jobs`), studies and
+shard plans (contiguous or SimPoint) are pure functions that build them, and
 :meth:`ExperimentEngine.run_jobs` runs any list of them, serving cached cells
 itself and handing the rest to one executor call:
 

@@ -73,7 +73,7 @@ class GeneratorSource(TraceSource):
 class WindowedSource(TraceSource):
     """Restrict a source to the micro-ops in ``[start, end)``.
 
-    Used to execute one SimPoint interval: the prefix is generated and
+    Used to execute one shard or SimPoint window: the prefix is generated and
     discarded (no buffering), the window is yielded, and iteration stops at
     ``end`` without producing the tail.
     """

@@ -103,18 +103,14 @@ class TestPlanShards:
             plan_shards(100, 4, warmup_uops=-1)
         with pytest.raises(ValueError, match="shard bounds"):
             Shard(index=0, start=10, end=5, warmup_start=0)
-        trace = build_workload("mcf", num_uops=500)
         with pytest.raises(ValueError, match="warmup_uops"):
-            plan_simpoints(trace, warmup_uops=-1)
+            plan_simpoints(build_workload("mcf", num_uops=500), warmup_uops=-1)
         with pytest.raises(ValueError, match="empty trace"):
             plan_simpoints(GeneratorSource(lambda: iter(()), name="empty"))
-        with pytest.raises(ValueError, match="interval_size"):
-            plan_simpoints(trace, interval_size=0)
 
-    @pytest.mark.parametrize("workload", ["milc", "sphinx3"])
     @pytest.mark.parametrize("warmup", [0, 700, 5_000])
-    def test_simpoint_plan_shape(self, workload, warmup):
-        trace = build_workload(workload, num_uops=6_000)
+    def test_simpoint_plan_shape(self, warmup):
+        trace = build_workload("milc", num_uops=6_000)
         plan = plan_simpoints(
             trace, interval_size=500, max_clusters=3, warmup_uops=warmup
         )
@@ -136,7 +132,8 @@ class TestPlanShards:
         # to the last one, which a warmup prefix can reach.
         trace = build_workload("libquantum", num_uops=12_000)
         plan = plan_simpoints(trace, warmup_uops=2_000)
-        assert [(shard.start, shard.end) for shard in plan.shards] == [(10_000, 12_000)]
+        windows = [(shard.start, shard.end) for shard in plan.shards]
+        assert windows == [(10_000, 12_000)]
         assert plan.shards[0].warmup_uops == 2_000
         assert plan.weights == (1.0,)
 
