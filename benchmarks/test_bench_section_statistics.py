@@ -52,7 +52,7 @@ def test_bench_short_interval_fraction(benchmark, figure_comparison):
         for result in figure_comparison.benchmarks:
             stats = result.results["pre"].stats
             if stats.runahead_invocations:
-                fractions[result.benchmark] = stats.short_interval_fraction(20)
+                fractions[result.benchmark] = stats.short_interval_fraction()
                 histograms[result.benchmark] = interval_length_histogram(stats)
         return fractions, histograms
 

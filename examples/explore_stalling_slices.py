@@ -52,7 +52,7 @@ def main() -> None:
     print(f"\nRunahead intervals:")
     print(f"  invocations            : {stats.runahead_invocations}")
     print(f"  mean length            : {stats.average_interval_length:.1f} cycles")
-    print(f"  < 20-cycle fraction    : {stats.short_interval_fraction(20):.2f} "
+    print(f"  < 20-cycle fraction    : {stats.short_interval_fraction():.2f} "
           f"(paper reports 0.27 for prior proposals)")
     print(f"  length histogram       : {interval_length_histogram(stats)}")
     print(f"  prefetches issued      : {stats.runahead_prefetches}")

@@ -31,11 +31,9 @@ from repro.core.prdq import PreciseRegisterDeallocationQueue
 from repro.core.sst import StallingSliceTable
 from repro.uarch.core import ExecutionMode
 from repro.uarch.rename import RATCheckpoint
-from repro.uarch.stats import RunaheadInterval
 from repro.workloads.trace import MicroOp, is_fp_reg
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.memory.hierarchy import AccessResult
     from repro.uarch.core import DynInstr
 
 
@@ -65,7 +63,6 @@ class PreciseRunaheadController(RunaheadController):
         self._stalling_load: Optional["DynInstr"] = None
         self._rat_checkpoint: Optional[RATCheckpoint] = None
         self._resume_seq: Optional[int] = None
-        self._interval: Optional[RunaheadInterval] = None
         #: Physical registers allocated by runahead instructions and not yet reclaimed.
         self._runahead_pregs: Set[Tuple[bool, int]] = set()
         self._runahead_instrs: list = []
@@ -126,7 +123,7 @@ class PreciseRunaheadController(RunaheadController):
             self.sst.insert(head.uop.pc)
             core.stats.events.sst_inserts += 1
 
-        self._interval = core.enter_runahead(cycle)
+        core.enter_runahead(cycle)
         self._stalling_load = head
         self._rat_checkpoint = core.rat.checkpoint()
         self._resume_seq = core.frontend.next_dispatch_seq()
@@ -143,8 +140,6 @@ class PreciseRunaheadController(RunaheadController):
             return
         if instr.runahead and self.prdq is not None and core.mode == ExecutionMode.RUNAHEAD:
             self.prdq.mark_executed(instr)
-            if self._interval is not None:
-                self._interval.uops_executed += 1
         if core.mode == ExecutionMode.RUNAHEAD and instr is self._stalling_load:
             self._exit_runahead(cycle)
 
@@ -188,7 +183,6 @@ class PreciseRunaheadController(RunaheadController):
         self._stalling_load = None
         self._rat_checkpoint = None
         self._resume_seq = None
-        self._interval = None
         self._runahead_instrs = []
 
     # --------------------------------------------------------------- dispatch
@@ -315,6 +309,3 @@ class PreciseRunaheadController(RunaheadController):
     def treat_poison_as_ready(self, instr: "DynInstr") -> bool:
         return instr.runahead
 
-    def on_runahead_prefetch(self, instr: "DynInstr", result: "AccessResult", cycle: int) -> None:
-        if self._interval is not None:
-            self._interval.prefetches_issued += 1

@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.core.base import RunaheadController
 from repro.uarch.core import ExecutionMode
-from repro.uarch.stats import RunaheadInterval
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.memory.hierarchy import AccessResult
@@ -49,7 +48,8 @@ class TraditionalRunaheadController(RunaheadController):
         self._minimum_interval = minimum_interval
         self._stalling_load: Optional["DynInstr"] = None
         self._restart_index: Optional[int] = None
-        self._interval: Optional[RunaheadInterval] = None
+        #: Prefetches issued in the current interval, for the useless-streak throttle.
+        self._interval_prefetches = 0
         self._useless_streak = 0
         self._throttled_stalls = 0
 
@@ -78,7 +78,8 @@ class TraditionalRunaheadController(RunaheadController):
             if self._throttled_stalls % self.THROTTLE_SAMPLE_PERIOD != 0:
                 core.stats.runahead_entries_skipped_short += 1
                 return
-        self._interval = core.enter_runahead(cycle)
+        core.enter_runahead(cycle)
+        self._interval_prefetches = 0
         self._stalling_load = head
         self._restart_index = head.seq
 
@@ -93,15 +94,13 @@ class TraditionalRunaheadController(RunaheadController):
         restart = self._restart_index if self._restart_index is not None else instr.seq
         core.flush_pipeline(restart)
         core.exit_runahead(cycle)
-        if self._interval is not None:
-            if self._interval.prefetches_issued < 2:
-                self._useless_streak += 1
-            else:
-                self._useless_streak = 0
-                self._throttled_stalls = 0
+        if self._interval_prefetches < 2:
+            self._useless_streak += 1
+        else:
+            self._useless_streak = 0
+            self._throttled_stalls = 0
         self._stalling_load = None
         self._restart_index = None
-        self._interval = None
 
     # --------------------------------------------------------------- dispatch
 
@@ -136,5 +135,4 @@ class TraditionalRunaheadController(RunaheadController):
         return core is not None and core.mode == ExecutionMode.RUNAHEAD
 
     def on_runahead_prefetch(self, instr: "DynInstr", result: "AccessResult", cycle: int) -> None:
-        if self._interval is not None:
-            self._interval.prefetches_issued += 1
+        self._interval_prefetches += 1

@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 from repro.core.base import RunaheadController
 from repro.uarch.core import ExecutionMode
 from repro.uarch.isa import execution_latency
-from repro.uarch.stats import RunaheadInterval
 from repro.workloads.trace import MicroOp, UopClass
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -93,7 +92,8 @@ class RunaheadBufferController(RunaheadController):
         self.buffer_stats = RunaheadBufferStats()
         self._stalling_load: Optional["DynInstr"] = None
         self._restart_index: Optional[int] = None
-        self._interval: Optional[RunaheadInterval] = None
+        #: Prefetches issued in the current interval, for the useless-streak throttle.
+        self._interval_prefetches = 0
         self._chain: Optional[DependencyChain] = None
         self._next_replay_cycle = 0
         self._prefetch_seqs: List[int] = []
@@ -160,7 +160,8 @@ class RunaheadBufferController(RunaheadController):
             self.buffer_stats.self_dependent_chains += 1
         core.stats.events.runahead_buffer_writes += chain.length
 
-        self._interval = core.enter_runahead(cycle)
+        core.enter_runahead(cycle)
+        self._interval_prefetches = 0
         core.frontend.power_gated = True
         self._stalling_load = head
         self._restart_index = head.seq
@@ -270,15 +271,13 @@ class RunaheadBufferController(RunaheadController):
         core.frontend.power_gated = False
         core.flush_pipeline(restart)
         core.exit_runahead(cycle)
-        if self._interval is not None:
-            if self._interval.prefetches_issued < 2:
-                self._useless_streak += 1
-            else:
-                self._useless_streak = 0
-                self._throttled_stalls = 0
+        if self._interval_prefetches < 2:
+            self._useless_streak += 1
+        else:
+            self._useless_streak = 0
+            self._throttled_stalls = 0
         self._stalling_load = None
         self._restart_index = None
-        self._interval = None
         self._chain = None
 
     # ---------------------------------------------------------------- replay
@@ -324,8 +323,7 @@ class RunaheadBufferController(RunaheadController):
             return 1
         self._prefetch_pointer += 1
         core.stats.runahead_prefetches += 1
-        if self._interval is not None:
-            self._interval.prefetches_issued += 1
+        self._interval_prefetches += 1
         return 1
 
     def next_wake_cycle(self, cycle: int) -> Optional[int]:

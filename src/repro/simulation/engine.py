@@ -61,8 +61,10 @@ from repro.workloads.trace import Trace, TraceSource
 #: Bump when the simulator or result schema changes incompatibly; invalidates
 #: every cached result.  v5: multi-core co-runner specs joined the job
 #: descriptor and results grew per-core/uncore sections.  v6: ``JobSpec``'s
-#: ``trace_file`` path became an in-process ``trace``.
-CACHE_SCHEMA_VERSION = 6
+#: ``trace_file`` path became an in-process ``trace``.  v7: ``CoreStats``
+#: replaced its interval and stall-snapshot lists with fixed-size summaries,
+#: which an older entry would decode as zeros.
+CACHE_SCHEMA_VERSION = 7
 
 
 # --------------------------------------------------------------------- sweeps

@@ -6,9 +6,9 @@ the unoptimized engine produced, for every workload x variant cell.  This
 module pins that property:
 
 * :func:`stats_digest` reduces a :class:`~repro.uarch.stats.CoreStats` to a
-  stable SHA-256 over its canonical JSON form — every counter, every runahead
-  interval, every stall snapshot contributes, so any timing drift (one extra
-  cycle anywhere) changes the digest;
+  stable SHA-256 over its canonical JSON form — every counter, every
+  interval-length bin and every free-resource sum contributes, so any timing
+  drift (one extra cycle anywhere) changes the digest;
 * :func:`capture_goldens` runs a workload x variant matrix through
   :func:`~repro.simulation.simulator.run_simulation` and records each cell's
   digest, IPC, and Figure-2 normalized IPC (speedup over the ``ooo``
@@ -17,9 +17,11 @@ module pins that property:
   and reports every cell whose digest or IPC diverged.
 
 The committed golden file (``tests/goldens/golden_stats.json``, regenerated by
-``scripts/capture_goldens.py``) was captured *before* the hot-path overhaul;
-``tests/test_golden_stats.py`` asserts the optimized engine still reproduces
-it bit for bit.
+``scripts/capture_goldens.py``) pins the timing model;
+``tests/test_golden_stats.py`` asserts the current engine reproduces it bit
+for bit.  Its last recapture (schema 2) followed ``CoreStats`` trading its
+per-interval and per-stall lists for fixed-size summaries, with every scalar
+counter unchanged.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from repro.uarch.stats import CoreStats
 
 #: Bump only when CoreStats gains/loses fields (which legitimately changes
 #: digests); the golden file records the schema it was captured under.
-GOLDEN_SCHEMA_VERSION = 1
+GOLDEN_SCHEMA_VERSION = 2
 
 #: The Figure-2 default matrix: the six benchmarks the CLI sweeps by default,
 #: against every registered variant.
@@ -52,8 +54,8 @@ def stats_digest(stats: CoreStats) -> str:
 
     Canonical JSON (sorted keys, no whitespace) over ``to_dict()`` output:
     ints stay ints and floats keep their exact ``repr``, so two runs digest
-    equal iff every statistic — including interval and snapshot lists — is
-    bit-identical.
+    equal iff every statistic — including the interval-length bins and the
+    free-resource sums — is bit-identical.
     """
     return hashlib.sha256(canonical_json(stats).encode("utf-8")).hexdigest()
 

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Sequence
 
-from repro.uarch.stats import CoreStats
+from repro.uarch.stats import INTERVAL_BIN_EDGES, CoreStats
 
 
 def arithmetic_mean(values: Sequence[float]) -> float:
@@ -63,36 +63,18 @@ def invocation_ratio(variant_stats: CoreStats, reference_stats: CoreStats) -> fl
     return variant_stats.runahead_invocations / reference_stats.runahead_invocations
 
 
-def interval_length_histogram(
-    stats: CoreStats, bin_edges: Iterable[int] = (20, 50, 100, 200, 500)
-) -> Dict[str, int]:
-    """Histogram of runahead interval lengths (Section 2.4 characterisation).
+def interval_length_histogram(stats: CoreStats) -> Dict[str, int]:
+    """Histogram of closed runahead-interval lengths (Section 2.4 characterisation).
 
-    Returns a mapping from human-readable bin label to interval count, with
-    one final open-ended bin.
+    Returns a mapping from human-readable bin label to interval count: one
+    bin per ``INTERVAL_BIN_EDGES`` edge and one final open-ended bin.  Other
+    binnings read the per-interval lengths of the ``runahead_log`` probe.
     """
-    edges: List[int] = sorted(bin_edges)
+    edges = INTERVAL_BIN_EDGES
     labels = [f"<{edges[0]}"]
     labels += [f"{low}-{high - 1}" for low, high in zip(edges, edges[1:])]
     labels += [f">={edges[-1]}"]
-    counts = {label: 0 for label in labels}
-    for interval in stats.intervals:
-        if interval.exit_cycle < 0:
-            continue
-        length = interval.length
-        placed = False
-        if length < edges[0]:
-            counts[labels[0]] += 1
-            placed = True
-        else:
-            for index, (low, high) in enumerate(zip(edges, edges[1:])):
-                if low <= length < high:
-                    counts[labels[index + 1]] += 1
-                    placed = True
-                    break
-        if not placed:
-            counts[labels[-1]] += 1
-    return counts
+    return dict(zip(labels, stats.runahead_interval_bins))
 
 
 def energy_savings_percent(variant_total_nj: float, baseline_total_nj: float) -> float:

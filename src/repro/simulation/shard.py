@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.memory.hierarchy import HierarchyConfig
 from repro.serde import JSONSerializable
@@ -334,10 +334,11 @@ def _weighted_core_stats(
 ) -> CoreStats:
     """Scale per-interval stats to whole-trace estimates (SimPoint weighting).
 
-    Every integer counter is treated as a per-committed-uop rate, combined
-    across intervals by weight and scaled to ``total_uops``; the classic
-    ``CPI = sum(w_i * CPI_i)`` falls out of the ``cycles`` field.  List-valued
-    fields (intervals, snapshots) are per-window artifacts and stay empty.
+    Every counter — the integer fields, each interval-length bin, each
+    free-resource sum and each event count — is treated as a per-committed-uop
+    rate, combined across intervals by weight and scaled to ``total_uops``;
+    the classic ``CPI = sum(w_i * CPI_i)`` falls out of the ``cycles`` field.
+    Integer counters round to the nearest count, the float sums do not.
     Intervals that committed nothing (e.g. a ``max_cycles`` budget expired
     mid-miss) carry no rate information, so the remaining weights are
     renormalised rather than silently shrinking every estimate.
@@ -347,22 +348,26 @@ def _weighted_core_stats(
     total_weight = sum(weight for _, weight in usable)
     if not usable or not total_uops or not total_weight:
         return aggregate
+
+    def estimate(count: Callable[[CoreStats], float]) -> float:
+        rate = sum(weight * count(stats) / stats.committed_uops for stats, weight in usable)
+        return rate / total_weight * total_uops
+
     for stats_field in dataclasses.fields(CoreStats):
-        if stats_field.name == "events":
-            continue
-        if not isinstance(getattr(aggregate, stats_field.name), int):
-            continue
-        rate = sum(
-            weight * getattr(stats, stats_field.name) / stats.committed_uops
-            for stats, weight in usable
-        )
-        setattr(aggregate, stats_field.name, round(rate / total_weight * total_uops))
+        name = stats_field.name
+        value = getattr(aggregate, name)
+        if isinstance(value, int):
+            setattr(aggregate, name, round(estimate(lambda stats: getattr(stats, name))))
+        elif isinstance(value, float):
+            setattr(aggregate, name, estimate(lambda stats: getattr(stats, name)))
+        elif isinstance(value, list):
+            value[:] = [
+                round(estimate(lambda stats: getattr(stats, name)[index]))
+                for index in range(len(value))
+            ]
     for event_field in dataclasses.fields(type(aggregate.events)):
-        rate = sum(
-            weight * getattr(stats.events, event_field.name) / stats.committed_uops
-            for stats, weight in usable
-        )
-        setattr(aggregate.events, event_field.name, round(rate / total_weight * total_uops))
+        name = event_field.name
+        setattr(aggregate.events, name, round(estimate(lambda stats: getattr(stats.events, name))))
     aggregate.committed_uops = total_uops
     return aggregate
 

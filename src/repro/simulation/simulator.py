@@ -29,7 +29,7 @@ from repro.memory.hierarchy import HierarchyConfig, PrivateHierarchy, SharedUnco
 from repro.serde import JSONSerializable
 from repro.uarch.config import CoreConfig
 from repro.uarch.core import OoOCore, run_lockstep
-from repro.uarch.probes import Probe, build_probe, default_probes
+from repro.uarch.probes import Probe, build_probe
 from repro.uarch.stats import CoreStats
 from repro.workloads.trace import TraceSource
 
@@ -215,7 +215,7 @@ def _simulate(
                 config=config,
                 hierarchy=hierarchy,
                 controller=controller,
-                probes=default_probes() + attached,
+                probes=attached,
             )
         )
     all_stats = run_lockstep(cores, max_cycles, warmup_uops)
@@ -234,7 +234,6 @@ def _simulate(
         stats=all_stats[0],
         energy=report,
         config=config,
-        # Default probes report None, so this is exactly the attached findings.
         probe_reports=focus.probes.reports(),
         cores=[
             CoreResult(core_id, core_variant, core_trace.name, stats)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+from bisect import bisect_right
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.memory.hierarchy import PrivateHierarchy
@@ -37,11 +38,11 @@ from repro.uarch.frontend import FetchedUop, FrontEnd
 from repro.uarch.isa import execution_latency
 from repro.uarch.issue_queue import IssueQueue
 from repro.uarch.lsq import LoadStoreQueues
-from repro.uarch.probes import Probe, ProbeSet, default_probes
+from repro.uarch.probes import Probe, ProbeSet
 from repro.uarch.regfile import PhysicalRegisterFile
 from repro.uarch.rename import RegisterAliasTable, RetirementRAT
 from repro.uarch.rob import ReorderBuffer
-from repro.uarch.stats import CoreStats, RunaheadInterval
+from repro.uarch.stats import INTERVAL_BIN_EDGES, CoreStats
 from repro.workloads.trace import FP_REG_BASE, MicroOp, Trace, TraceSource, is_fp_reg
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -163,7 +164,7 @@ class OoOCore:
         hierarchy: Optional[PrivateHierarchy] = None,
         controller: Optional["RunaheadController"] = None,
         name: Optional[str] = None,
-        probes: Optional[Iterable[Probe]] = None,
+        probes: Iterable[Probe] = (),
     ) -> None:
         self.config = config or CoreConfig()
         if controller is not None and controller.requires_trace_oracle:
@@ -182,7 +183,7 @@ class OoOCore:
         self.core_id = self.hierarchy.core_id
         self.name = name or ("ooo" if controller is None else controller.name)
         self.stats = CoreStats()
-        self.probes = ProbeSet(default_probes() if probes is None else probes)
+        self.probes = ProbeSet(probes)
 
         self.predictor = GShareBranchPredictor(
             self.config.branch_predictor_entries, self.config.branch_history_bits
@@ -212,7 +213,8 @@ class OoOCore:
         self._events: List[Tuple[int, int, DynInstr]] = []
         self._event_counter = 0
         self._current_stall_seq: Optional[int] = None
-        self._open_interval: Optional[RunaheadInterval] = None
+        #: Entry cycle of the open runahead interval (None outside one).
+        self._interval_entry: Optional[int] = None
         self._store_commit_stalled = False
         #: Cycle at which statistics collection began (nonzero only when a
         #: warmup prefix was excluded via ``run(stats_start_uop=...)``).
@@ -383,16 +385,19 @@ class OoOCore:
         stats = self.stats
         for stats_field in dataclasses.fields(CoreStats):
             value = getattr(stats, stats_field.name)
-            if isinstance(value, int):
-                setattr(stats, stats_field.name, 0)
+            if isinstance(value, (int, float)):
+                setattr(stats, stats_field.name, type(value)())
             elif isinstance(value, list):
-                value.clear()
+                value[:] = [0] * len(value)
         events = stats.events
         for event_field in dataclasses.fields(type(events)):
             setattr(events, event_field.name, 0)
         stats.committed_uops = already_measured
         events.committed_uops = already_measured
         self._stats_cycle_base = self.cycle
+        # An interval open across the boundary began in the warmup, where
+        # its entry was counted; it stays out of the measured summaries.
+        self._interval_entry = None
 
     # -------------------------------------------------------------- writeback
 
@@ -717,7 +722,11 @@ class OoOCore:
         if self._current_stall_seq == head.seq:
             return
         self._current_stall_seq = head.seq
-        self.stats.full_window_stalls += 1
+        stats = self.stats
+        stats.full_window_stalls += 1
+        stats.stall_free_iq_sum += self.iq.free_fraction
+        stats.stall_free_int_reg_sum += self.int_rf.free_fraction
+        stats.stall_free_fp_reg_sum += self.fp_rf.free_fraction
         if self.probes.full_window_stall:
             for probe in self.probes.full_window_stall:
                 probe.on_full_window_stall(self, head, self.cycle)
@@ -726,29 +735,30 @@ class OoOCore:
 
     # --------------------------------------------------- runahead transitions
 
-    def enter_runahead(self, cycle: int) -> RunaheadInterval:
-        """Switch to runahead mode; returns the interval record to annotate.
+    def enter_runahead(self, cycle: int) -> None:
+        """Switch to runahead mode, open an interval and notify probes.
 
         Centralises the bookkeeping every controller used to repeat (interval
-        creation, invocation counting) and notifies ``on_runahead_enter``
+        opening, invocation counting) and notifies ``on_runahead_enter``
         probes.
         """
         self.mode = ExecutionMode.RUNAHEAD
-        interval = RunaheadInterval(entry_cycle=cycle)
-        self._open_interval = interval
-        self.stats.intervals.append(interval)
+        self._interval_entry = cycle
         self.stats.runahead_invocations += 1
         if self.probes.runahead_enter:
             for probe in self.probes.runahead_enter:
                 probe.on_runahead_enter(self, cycle)
-        return interval
 
     def exit_runahead(self, cycle: int) -> None:
-        """Return to normal mode, close the open interval and notify probes."""
+        """Return to normal mode, fold the open interval into the summaries, notify probes."""
         self.mode = ExecutionMode.NORMAL
-        if self._open_interval is not None:
-            self._open_interval.exit_cycle = cycle
-            self._open_interval = None
+        entry = self._interval_entry
+        if entry is not None:
+            length = cycle - entry
+            stats = self.stats
+            stats.runahead_interval_cycles += length
+            stats.runahead_interval_bins[bisect_right(INTERVAL_BIN_EDGES, length)] += 1
+            self._interval_entry = None
         if self.probes.runahead_exit:
             for probe in self.probes.runahead_exit:
                 probe.on_runahead_exit(self, cycle)

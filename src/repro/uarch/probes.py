@@ -1,15 +1,15 @@
 """Pluggable instrumentation probes.
 
-Measurement used to be hardwired into the core: resource snapshots, interval
-logging and any new analysis meant editing ``uarch/core.py``.  Probes invert
-that: the core publishes a small set of semantic events and registered
-observers consume them.  The built-in :class:`~repro.uarch.stats.CoreStats`
-counters remain the timing/energy model's always-on accounting, while
-everything optional — stall snapshots, IPC timelines, stall breakdowns,
-runahead-interval logs, memory-level profiles — is a :class:`Probe` that can
-be attached per run, selected by registry name from
+The core publishes a small set of semantic events and registered observers
+consume them.  The core's own :class:`~repro.uarch.stats.CoreStats` is the
+always-on, fixed-size accounting the timing and energy models and the
+paper's section statistics read: counters, runahead-interval length bins and
+free-resource sums at full-window stalls.  Everything per-event — IPC
+timelines, stall breakdowns, per-interval runahead logs, memory-level
+profiles — is a :class:`Probe`.  No probe runs by default: each is attached
+per run, selected by registry name from
 :class:`~repro.simulation.engine.ExperimentEngine` or the ``--probe`` CLI
-flag, and report arbitrary JSON-able data into
+flag, and reports arbitrary JSON-able data into
 :attr:`~repro.simulation.simulator.SimulationResult.probe_reports`.
 
 Probe lifecycle and hooks
@@ -45,7 +45,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional
 
 from repro.registry import PROBE_REGISTRY, register_probe
-from repro.uarch.stats import ResourceSnapshot
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.memory.hierarchy import AccessResult
@@ -97,8 +96,7 @@ class Probe:
     def report(self) -> Optional[Any]:
         """JSON-able findings for :attr:`SimulationResult.probe_reports`.
 
-        Return ``None`` (the default) to stay out of the result record —
-        appropriate for probes that only mutate ``CoreStats`` in place.
+        Return ``None`` (the default) to stay out of the result record.
         """
         return None
 
@@ -151,37 +149,6 @@ class ProbeSet:
 
 
 # -------------------------------------------------------------- built-in probes
-
-
-class ResourceSnapshotProbe(Probe):
-    """Record free-resource occupancy at each new full-window stall.
-
-    This is the Section 3.4 statistic that used to be collected inline by the
-    core; it now rides the probe API and writes into the run's ``CoreStats``
-    (``stall_snapshots``), so default instrumentation is unchanged.
-    """
-
-    name = "stall_snapshots"
-
-    def on_full_window_stall(self, core: "OoOCore", instr: "DynInstr", cycle: int) -> None:
-        core.stats.stall_snapshots.append(
-            ResourceSnapshot(
-                cycle=cycle,
-                free_iq_fraction=core.iq.free_fraction,
-                free_int_reg_fraction=core.int_rf.free_fraction,
-                free_fp_reg_fraction=core.fp_rf.free_fraction,
-            )
-        )
-
-
-def default_probes() -> List[Probe]:
-    """The probes every simulation carries unless explicitly overridden.
-
-    These populate the parts of :class:`CoreStats` that the paper's analyses
-    rely on; passing ``probes=[]`` to :class:`~repro.uarch.core.OoOCore`
-    yields a bare core without them.
-    """
-    return [ResourceSnapshotProbe()]
 
 
 @register_probe("ipc_timeline", description="sampled (cycle, committed uops) IPC timeline")
@@ -386,9 +353,7 @@ __all__ = [
     "MemoryProfileProbe",
     "Probe",
     "ProbeSet",
-    "ResourceSnapshotProbe",
     "RunaheadIntervalLogProbe",
     "StallBreakdownProbe",
     "build_probe",
-    "default_probes",
 ]

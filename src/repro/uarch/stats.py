@@ -1,10 +1,12 @@
 """Execution statistics collected by the core.
 
 ``CoreStats`` is the single record every experiment consumes: cycle and
-micro-op counts for IPC, full-window-stall accounting, per-runahead-interval
-characterisation (needed for the Section 2.4 and 5.1 statistics), resource
-occupancy snapshots at runahead entry (Section 3.4), and the per-structure
-event counts the energy model multiplies by per-access energies.
+micro-op counts for IPC, full-window-stall accounting, runahead-interval
+summaries (needed for the Section 2.4 and 5.1 statistics), free-resource sums
+at full-window stalls (Section 3.4), and the per-structure event counts the
+energy model multiplies by per-access energies.  Every field has a fixed
+size, so a record does not grow with run length; per-interval data comes from
+the opt-in ``runahead_log`` probe.
 """
 
 from __future__ import annotations
@@ -13,6 +15,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.serde import JSONSerializable
+
+#: Upper edges (exclusive, in cycles) of the runahead-interval length bins;
+#: one last open-ended bin holds the intervals of 500 cycles or more.
+INTERVAL_BIN_EDGES = (20, 50, 100, 200, 500)
 
 
 @dataclass
@@ -53,33 +59,6 @@ class EventCounts(JSONSerializable):
 
 
 @dataclass
-class RunaheadInterval:
-    """One runahead episode, from entry to exit."""
-
-    entry_cycle: int
-    exit_cycle: int = -1
-    prefetches_issued: int = 0
-    uops_executed: int = 0
-
-    @property
-    def length(self) -> int:
-        """Duration of the interval in cycles (0 while still open)."""
-        if self.exit_cycle < 0:
-            return 0
-        return self.exit_cycle - self.entry_cycle
-
-
-@dataclass
-class ResourceSnapshot:
-    """Free-resource occupancy observed at a full-window stall (Section 3.4)."""
-
-    cycle: int
-    free_iq_fraction: float
-    free_int_reg_fraction: float
-    free_fp_reg_fraction: float
-
-
-@dataclass
 class CoreStats(JSONSerializable):
     """Aggregate statistics of one simulation run."""
 
@@ -95,16 +74,24 @@ class CoreStats(JSONSerializable):
     runahead_cycles: int = 0
     runahead_uops_executed: int = 0
     runahead_prefetches: int = 0
-    runahead_useful_prefetches: int = 0
     runahead_entries_skipped_short: int = 0
     pipeline_flushes: int = 0
+    #: Summed length, in cycles, of the closed runahead intervals.
+    runahead_interval_cycles: int = 0
+    #: Closed runahead intervals per length bin of ``INTERVAL_BIN_EDGES``.
+    runahead_interval_bins: List[int] = field(
+        default_factory=lambda: [0] * (len(INTERVAL_BIN_EDGES) + 1)
+    )
 
     long_latency_loads: int = 0
     loads_hit_under_prefetch: int = 0
 
+    #: Free IQ, int-RF and fp-RF fractions, summed over full-window stalls.
+    stall_free_iq_sum: float = 0.0
+    stall_free_int_reg_sum: float = 0.0
+    stall_free_fp_reg_sum: float = 0.0
+
     events: EventCounts = field(default_factory=EventCounts)
-    intervals: List[RunaheadInterval] = field(default_factory=list)
-    stall_snapshots: List[ResourceSnapshot] = field(default_factory=list)
 
     @property
     def ipc(self) -> float:
@@ -113,25 +100,22 @@ class CoreStats(JSONSerializable):
 
     @property
     def average_interval_length(self) -> float:
-        """Mean runahead-interval length in cycles."""
-        closed = [interval.length for interval in self.intervals if interval.exit_cycle >= 0]
-        return sum(closed) / len(closed) if closed else 0.0
+        """Mean closed runahead-interval length in cycles."""
+        closed = sum(self.runahead_interval_bins)
+        return self.runahead_interval_cycles / closed if closed else 0.0
 
-    def short_interval_fraction(self, threshold: int = 20) -> float:
-        """Fraction of runahead intervals shorter than ``threshold`` cycles (Section 2.4)."""
-        closed = [interval for interval in self.intervals if interval.exit_cycle >= 0]
-        if not closed:
-            return 0.0
-        short = sum(1 for interval in closed if interval.length < threshold)
-        return short / len(closed)
+    def short_interval_fraction(self) -> float:
+        """Fraction of closed runahead intervals shorter than 20 cycles (Section 2.4)."""
+        closed = sum(self.runahead_interval_bins)
+        return self.runahead_interval_bins[0] / closed if closed else 0.0
 
     def mean_free_resources(self) -> Dict[str, float]:
         """Mean free IQ/int-RF/fp-RF fractions observed at full-window stalls (Section 3.4)."""
-        if not self.stall_snapshots:
+        count = self.full_window_stalls
+        if not count:
             return {"iq": 0.0, "int_regs": 0.0, "fp_regs": 0.0}
-        count = len(self.stall_snapshots)
         return {
-            "iq": sum(s.free_iq_fraction for s in self.stall_snapshots) / count,
-            "int_regs": sum(s.free_int_reg_fraction for s in self.stall_snapshots) / count,
-            "fp_regs": sum(s.free_fp_reg_fraction for s in self.stall_snapshots) / count,
+            "iq": self.stall_free_iq_sum / count,
+            "int_regs": self.stall_free_int_reg_sum / count,
+            "fp_regs": self.stall_free_fp_reg_sum / count,
         }

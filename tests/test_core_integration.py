@@ -6,7 +6,11 @@ from repro import CoreConfig, VARIANTS, build_controller, build_core
 from repro.core.pre import PreciseRunaheadController
 from repro.core.runahead import TraditionalRunaheadController
 from repro.core.runahead_buffer import RunaheadBufferController
+from repro.registry import build_workload
+from repro.simulation.simulator import SimulationRequest, run_simulation
 from repro.uarch.core import ExecutionMode, OoOCore
+from repro.uarch.probes import Probe, RunaheadIntervalLogProbe
+from repro.uarch.stats import INTERVAL_BIN_EDGES
 from repro.workloads.generators import (
     compute_kernel,
     linked_list_chase,
@@ -50,7 +54,7 @@ class TestBaselineCore:
         assert stats.long_latency_loads > 0
         assert stats.full_window_stall_cycles > 0
 
-    def test_stall_snapshots_report_free_resources(self, memory_trace):
+    def test_full_window_stalls_report_free_resources(self, memory_trace):
         stats = build_core(memory_trace, variant="ooo").run(max_cycles=2_000_000)
         free = stats.mean_free_resources()
         # Section 3.4: a sizeable fraction of the IQ and register files is free
@@ -90,11 +94,76 @@ class TestControllersCommitCorrectly:
 
     @pytest.mark.parametrize("variant", [v for v in VARIANTS if v != "ooo"])
     def test_memory_trace_invokes_runahead(self, variant, memory_trace):
-        stats = build_core(memory_trace, variant=variant).run(max_cycles=3_000_000)
+        core = build_core(memory_trace, variant=variant)
+        stats = core.run(max_cycles=3_000_000)
         assert stats.runahead_invocations > 0
-        closed = [i for i in stats.intervals if i.exit_cycle >= 0]
-        assert closed, "every completed run must close its runahead intervals"
-        assert all(interval.length >= 0 for interval in closed)
+        assert core.mode == ExecutionMode.NORMAL
+        # A completed run closes every interval it opened, and its closed
+        # intervals span exactly the cycles it spent in runahead mode.
+        assert sum(stats.runahead_interval_bins) == stats.runahead_invocations
+        assert stats.runahead_interval_cycles == stats.runahead_cycles > 0
+
+
+class BoundaryProbe(Probe):
+    """Free fractions at every full-window stall, and the committed-uop count
+    at each runahead entry made in a step that also committed micro-ops."""
+
+    name = "boundary"
+
+    def __init__(self):
+        self.stalls = []
+        self.entries_after_commit = []
+        self._last_commit_cycle = -1
+
+    def on_commit(self, core, instr, cycle):
+        self._last_commit_cycle = cycle
+
+    def on_full_window_stall(self, core, instr, cycle):
+        self.stalls.append(
+            (cycle, core.iq.free_fraction, core.int_rf.free_fraction, core.fp_rf.free_fraction)
+        )
+
+    def on_runahead_enter(self, core, cycle):
+        if self._last_commit_cycle == cycle:
+            self.entries_after_commit.append(core.committed_trace_uops)
+
+
+class TestStatsSummaries:
+    """CoreStats summarises intervals and stalls in fixed-size fields."""
+
+    def test_warmup_boundary_resets_the_summaries(self):
+        trace = build_workload("mcf", num_uops=3_000)
+        # Warm up to a step that both commits and enters runahead, so one
+        # interval is open across the warmup/measurement boundary.
+        scout = BoundaryProbe()
+        OoOCore(trace, controller=build_controller("pre_emq"), probes=[scout]).run()
+        warmup = next(count for count in scout.entries_after_commit if count >= 1_000)
+        probe, log = BoundaryProbe(), RunaheadIntervalLogProbe()
+        core = OoOCore(trace, controller=build_controller("pre_emq"), probes=[probe, log])
+        stats = core.run(stats_start_uop=warmup)
+        boundary = core.cycle - stats.cycles
+        # The boundary step's own stall and entry precede the reset.
+        measured = [stall for stall in probe.stalls if stall[0] > boundary]
+        assert 0 < len(measured) == stats.full_window_stalls < len(probe.stalls)
+        sums = (stats.stall_free_iq_sum, stats.stall_free_int_reg_sum, stats.stall_free_fp_reg_sum)
+        for column, total in enumerate(sums, start=1):
+            assert total == pytest.approx(sum(stall[column] for stall in measured))
+        assert any(entry["entry"] == boundary for entry in log.entries)
+        closed = [e for e in log.entries if e["entry"] > boundary and e["exit"] >= 0]
+        assert len(stats.runahead_interval_bins) == len(INTERVAL_BIN_EDGES) + 1
+        assert sum(stats.runahead_interval_bins) == len(closed) > 0
+        assert stats.runahead_interval_cycles == sum(entry["length"] for entry in closed)
+
+    def test_serialised_stats_do_not_grow_with_run_length(self):
+        sizes = [
+            len(
+                run_simulation(
+                    build_workload("mcf", num_uops=num_uops), SimulationRequest(variant="pre")
+                ).stats.to_json()
+            )
+            for num_uops in (1_500, 6_000)
+        ]
+        assert abs(sizes[1] - sizes[0]) <= 64
 
 
 class TestRunaheadBehaviour:

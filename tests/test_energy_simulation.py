@@ -24,7 +24,8 @@ from repro.simulation.metrics import (
 )
 from repro.simulation.simulator import SimulationRequest, run_simulation
 from repro.uarch.config import CoreConfig
-from repro.uarch.stats import CoreStats, RunaheadInterval
+from repro.uarch.core import OoOCore
+from repro.uarch.stats import CoreStats
 from repro.workloads.generators import multi_slice_kernel, strided_stream
 
 
@@ -123,21 +124,32 @@ class TestMetrics:
         assert energy_savings_percent(94.0, 100.0) == pytest.approx(6.0)
         assert energy_savings_percent(100.0, 0.0) == 0.0
 
+    @staticmethod
+    def closed_intervals(*lengths):
+        """Stats of a core that opened and closed one interval per length."""
+        core = OoOCore(strided_stream(num_uops=100))
+        for length in lengths:
+            core.enter_runahead(1_000)
+            core.exit_runahead(1_000 + length)
+        return core.stats
+
     def test_interval_histogram_binning(self):
-        stats = CoreStats()
-        for length in (5, 25, 75, 600):
-            stats.intervals.append(RunaheadInterval(entry_cycle=0, exit_cycle=length))
-        histogram = interval_length_histogram(stats, bin_edges=(20, 50, 100, 200, 500))
-        assert histogram["<20"] == 1
-        assert histogram["20-49"] == 1
-        assert histogram["50-99"] == 1
-        assert histogram[">=500"] == 1
+        stats = self.closed_intervals(5, 19, 20, 25, 75, 499, 500, 600)
+        assert interval_length_histogram(stats) == {
+            "<20": 2,
+            "20-49": 2,
+            "50-99": 1,
+            "100-199": 0,
+            "200-499": 1,
+            ">=500": 2,
+        }
+        assert stats.runahead_interval_cycles == 1_743
 
     def test_short_interval_fraction(self):
-        stats = CoreStats()
-        stats.intervals.append(RunaheadInterval(entry_cycle=0, exit_cycle=10))
-        stats.intervals.append(RunaheadInterval(entry_cycle=0, exit_cycle=100))
-        assert stats.short_interval_fraction(20) == pytest.approx(0.5)
+        stats = self.closed_intervals(10, 100)
+        assert stats.short_interval_fraction() == pytest.approx(0.5)
+        assert stats.average_interval_length == pytest.approx(55.0)
+        assert CoreStats().short_interval_fraction() == 0.0
 
 
 class TestSimulationDrivers:

@@ -40,7 +40,6 @@ from repro.simulation.multicore import (
 from repro.simulation.simulator import SimulationRequest, run_simulation
 from repro.simulation.study import build_multicore_spec, build_study, study_jobs
 from repro.uarch.core import OoOCore, SimulationDeadlock, run_lockstep
-from repro.uarch.probes import default_probes
 from repro.uarch.stats import CoreStats
 
 
@@ -154,7 +153,6 @@ def _build_cores(assignments, num_uops, hierarchy_config=None):
                 build_workload(workload, num_uops=num_uops),
                 hierarchy=hierarchy,
                 controller=build_controller(variant),
-                probes=default_probes(),
             )
         )
     return uncore, cores

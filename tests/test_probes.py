@@ -13,9 +13,10 @@ from repro.uarch.probes import (
     Probe,
     ProbeSet,
     build_probe,
-    default_probes,
 )
 from repro.core import build_controller
+from repro.simulation.metrics import interval_length_histogram
+from repro.uarch.stats import INTERVAL_BIN_EDGES
 from repro.workloads.generators import strided_stream
 
 
@@ -67,7 +68,7 @@ class TestProbeHooks:
         core = OoOCore(
             trace,
             controller=build_controller("pre"),
-            probes=default_probes() + [probe],
+            probes=[probe],
         )
         stats = core.run()
         assert probe.attached == 1
@@ -87,17 +88,19 @@ class TestProbeHooks:
         assert passive not in probes.commit
         assert len(probes) == 2
 
-    def test_stall_snapshots_relocated_to_default_probe(self):
-        trace = strided_stream(num_uops=2_000)
-        with_default = OoOCore(trace)
-        stats_default = with_default.run()
-        assert stats_default.stall_snapshots, "default probes collect snapshots"
-        bare = OoOCore(strided_stream(num_uops=2_000), probes=[])
-        stats_bare = bare.run()
-        # A bare core skips the optional instrumentation but times identically.
-        assert not stats_bare.stall_snapshots
-        assert stats_bare.cycles == stats_default.cycles
-        assert stats_bare.full_window_stalls == stats_default.full_window_stalls
+    def test_bare_and_default_cores_give_identical_stats(self):
+        stats_default = OoOCore(strided_stream(num_uops=2_000)).run()
+        stats_bare = OoOCore(strided_stream(num_uops=2_000), probes=[]).run()
+        probed = OoOCore(
+            strided_stream(num_uops=2_000),
+            probes=[build_probe(name) for name in PROBE_REGISTRY.names()],
+        )
+        stats_probed = probed.run()
+        # The core's summaries are always on; probes only observe.
+        assert stats_default.full_window_stalls > 0
+        assert stats_default.stall_free_iq_sum > 0.0
+        assert stats_bare == stats_default
+        assert stats_probed == stats_default
 
 
 class TestBuiltinProbes:
@@ -139,14 +142,22 @@ class TestBuiltinProbes:
         assert report["cycles"]["runahead"] == result.stats.runahead_cycles
 
     def test_runahead_log_matches_interval_stats(self):
-        result = self.run_with(["runahead_log"])
-        log = result.probe_reports["runahead_log"]
-        assert len(log) == result.stats.runahead_invocations
-        closed = [entry for entry in log if entry["exit"] >= 0]
-        for entry in closed:
-            assert entry["length"] == entry["exit"] - entry["entry"]
-            assert entry["prefetches"] >= 0
-        assert sum(e["prefetches"] for e in closed) <= result.stats.runahead_prefetches
+        for variant in ("runahead", "runahead_buffer", "pre", "pre_emq"):
+            result = self.run_with(["runahead_log"], variant=variant)
+            stats = result.stats
+            log = result.probe_reports["runahead_log"]
+            assert len(log) == stats.runahead_invocations > 0, variant
+            closed = [entry for entry in log if entry["exit"] >= 0]
+            for entry in closed:
+                assert entry["length"] == entry["exit"] - entry["entry"]
+                assert entry["prefetches"] >= 0
+            assert sum(e["prefetches"] for e in closed) <= stats.runahead_prefetches
+            # Binned with the core's edges, the log reproduces its summaries.
+            bins = [0] * (len(INTERVAL_BIN_EDGES) + 1)
+            for entry in closed:
+                bins[sum(entry["length"] >= edge for edge in INTERVAL_BIN_EDGES)] += 1
+            assert bins == list(interval_length_histogram(stats).values()), variant
+            assert sum(e["length"] for e in closed) == stats.runahead_interval_cycles, variant
 
     def test_mem_profile_counts_match_stats(self):
         result = self.run_with(["mem_profile"], variant="ooo")

@@ -187,6 +187,25 @@ class TestStitching:
         # The warmup prefixes were simulated (they cost uops), just not counted.
         assert sharded.simulated_uops > sharded.total_uops
 
+    def test_summaries_stitch_like_counters(self):
+        trace = build_workload("mcf", num_uops=4_000)
+        sharded = run_sharded(trace, plan_shards(trace.length, 4, 500), "pre")
+        stitched = sharded.stitched_stats
+        shards = [entry.result.stats for entry in sharded.shards]
+        # Contiguous shards weigh measured/total uops, so each weighted
+        # summary is the sum of the shards' own.
+        assert stitched.runahead_interval_bins == [
+            sum(column) for column in zip(*(stats.runahead_interval_bins for stats in shards))
+        ]
+        assert sum(stitched.runahead_interval_bins) > 0
+        assert stitched.runahead_interval_cycles == sum(
+            stats.runahead_interval_cycles for stats in shards
+        )
+        assert stitched.stall_free_iq_sum == pytest.approx(
+            sum(stats.stall_free_iq_sum for stats in shards)
+        )
+        assert 0.0 < stitched.mean_free_resources()["iq"] <= 1.0
+
     @pytest.mark.parametrize("workload", DEFAULT_GOLDEN_WORKLOADS)
     def test_four_shard_ipc_within_tolerance(self, workload, exact_12k):
         trace, base = exact_12k(workload)
