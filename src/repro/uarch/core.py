@@ -380,7 +380,8 @@ class OoOCore:
         front-end and any attached probes, so it must keep its identity.
         ``already_measured`` accounts for the commits by which the boundary
         step overshot ``stats_start_uop`` (their load/store breakdown is
-        unrecoverable and stays zero; the count itself stays exact).
+        unrecoverable and stays zero; the count itself stays exact).  Probes
+        then hear ``on_measurement_start`` and drop their warmup records.
         """
         stats = self.stats
         for stats_field in dataclasses.fields(CoreStats):
@@ -398,6 +399,8 @@ class OoOCore:
         # An interval open across the boundary began in the warmup, where
         # its entry was counted; it stays out of the measured summaries.
         self._interval_entry = None
+        for probe in self.probes.measurement_start:
+            probe.on_measurement_start(self, self.cycle)
 
     # -------------------------------------------------------------- writeback
 

@@ -17,6 +17,9 @@ Probe lifecycle and hooks
 ``on_attach`` fires once when the core is constructed; ``on_finish`` once when
 the run completes.  In between the core emits:
 
+* ``on_measurement_start(core, cycle)`` — a run with a warmup prefix crossed
+  into its measured window and ``core.stats`` was just zeroed; a probe drops
+  what it recorded before, so its report covers what the stats cover;
 * ``on_cycle(core, cycle)`` — once per *executed* cycle;
 * ``on_cycles_skipped(core, start, end)`` — when the idle-skip optimisation
   fast-forwards the clock over the ``end - start`` cycles in ``[start, end)``
@@ -61,6 +64,9 @@ class Probe:
     def on_attach(self, core: "OoOCore") -> None:
         """The probe was attached to ``core`` (before the first cycle)."""
 
+    def on_measurement_start(self, core: "OoOCore", cycle: int) -> None:
+        """The warmup ended at ``cycle`` and the statistics were zeroed."""
+
     def on_cycle(self, core: "OoOCore", cycle: int) -> None:
         """One pipeline cycle executed."""
 
@@ -103,6 +109,7 @@ class Probe:
 
 #: Hook names indexed by :class:`ProbeSet` (on_attach/on_finish always fire).
 _HOOKS = (
+    "on_measurement_start",
     "on_cycle",
     "on_cycles_skipped",
     "on_commit",
@@ -160,7 +167,8 @@ class IPCTimelineProbe(Probe):
     """Sample committed-instruction progress over time.
 
     Report: ``{"period": N, "samples": [[cycle, committed_uops], ...]}`` —
-    enough to plot an IPC-over-time curve or locate phase changes.
+    enough to plot an IPC-over-time curve or locate phase changes.  Cycles
+    count from the start of the measured window, as ``stats.cycles`` does.
     """
 
     name = "ipc_timeline"
@@ -171,10 +179,16 @@ class IPCTimelineProbe(Probe):
         self.period = period
         self.samples: List[List[int]] = []
         self._next_sample = 0
+        self._cycle_base = 0
 
     def _sample(self, core: "OoOCore", cycle: int) -> None:
-        self.samples.append([cycle, core.stats.committed_uops])
+        self.samples.append([cycle - self._cycle_base, core.stats.committed_uops])
         self._next_sample = cycle + self.period
+
+    def on_measurement_start(self, core: "OoOCore", cycle: int) -> None:
+        self.samples = []
+        self._cycle_base = cycle
+        self._sample(core, cycle)
 
     def on_cycle(self, core: "OoOCore", cycle: int) -> None:
         if cycle >= self._next_sample:
@@ -230,6 +244,10 @@ class StallBreakdownProbe(Probe):
             return "frontend_starved"
         return "busy"
 
+    def on_measurement_start(self, core: "OoOCore", cycle: int) -> None:
+        for key in self.counts:
+            self.counts[key] = 0
+
     def on_cycle(self, core: "OoOCore", cycle: int) -> None:
         self.counts[self._classify(core)] += 1
 
@@ -267,6 +285,11 @@ class RunaheadIntervalLogProbe(Probe):
     def __init__(self) -> None:
         self.entries: List[Dict[str, int]] = []
         self._prefetches_at_entry = 0
+
+    def on_measurement_start(self, core: "OoOCore", cycle: int) -> None:
+        # An interval open across the boundary is dropped with the rest,
+        # as the stats drop it: its exit then finds no open record.
+        self.entries = []
 
     def on_runahead_enter(self, core: "OoOCore", cycle: int) -> None:
         self._prefetches_at_entry = core.stats.runahead_prefetches
@@ -308,6 +331,16 @@ class MemoryProfileProbe(Probe):
         self.total = 0
         self.fills: Dict[str, int] = {}
         self.writebacks: Dict[str, int] = {}
+        #: DRAM writes already done when the measured window began.
+        self._dram_writes_base = 0
+
+    def on_measurement_start(self, core: "OoOCore", cycle: int) -> None:
+        self.levels = {}
+        self.long_latency = 0
+        self.total = 0
+        self.fills = {}
+        self.writebacks = {}
+        self._dram_writes_base = core.hierarchy.dram.stats.writes
 
     def on_mem_access(
         self, core: "OoOCore", instr: "DynInstr", result: "AccessResult", cycle: int
@@ -327,7 +360,7 @@ class MemoryProfileProbe(Probe):
     def on_finish(self, core: "OoOCore", stats: "CoreStats") -> None:
         # DRAM writes are the terminal hop of every writeback chain; surface
         # them next to the per-cache-level counts.
-        writes = core.hierarchy.dram.stats.writes
+        writes = core.hierarchy.dram.stats.writes - self._dram_writes_base
         if writes:
             self.writebacks["DRAM"] = writes
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.registry import PROBE_REGISTRY
+from repro.registry import PROBE_REGISTRY, build_workload
 from repro.simulation.engine import ExperimentEngine, SweepSpec, job_cache_key, _job_payload
 from repro.simulation.simulator import SimulationRequest, SimulationResult, run_simulation
 from repro.uarch.core import OoOCore
@@ -165,6 +165,35 @@ class TestBuiltinProbes:
         assert report["total"] == sum(report["levels"].values())
         assert report["long_latency"] == result.stats.long_latency_loads
         assert report["total"] > 0
+
+    @pytest.mark.parametrize(
+        "workload, variant", [("bwaves", "runahead"), ("mcf", "pre"), ("milc", "pre_emq")]
+    )
+    def test_warmed_run_reports_only_the_measured_window(self, workload, variant):
+        result = run_simulation(
+            build_workload(workload, num_uops=3_000),
+            SimulationRequest(
+                variant=variant, warmup_uops=1_500, probes=list(PROBE_REGISTRY.names())
+            ),
+        )
+        stats = result.stats
+        reports = result.probe_reports
+        log = reports["runahead_log"]
+        assert len(log) == stats.runahead_invocations > 0
+        closed = [entry for entry in log if entry["exit"] >= 0]
+        assert sum(entry["length"] for entry in closed) == stats.runahead_interval_cycles
+        cycles = reports["stall_breakdown"]["cycles"]
+        assert cycles["runahead"] == stats.runahead_cycles
+        # stats.cycles includes the boundary step's cycle, whose per-cycle
+        # counts were zeroed with the rest of the warmup's.
+        assert sum(cycles.values()) == stats.cycles - 1
+        samples = reports["ipc_timeline"]["samples"]
+        assert samples[0][0] == 0
+        assert samples[-1] == [stats.cycles, stats.committed_uops]
+        assert all(cycle <= stats.cycles for cycle, _ in samples)
+        profile = reports["mem_profile"]
+        assert profile["total"] == sum(profile["levels"].values())
+        assert profile["long_latency"] == stats.long_latency_loads
 
     def test_no_probes_means_empty_reports(self):
         result = run_simulation(strided_stream(num_uops=800), SimulationRequest(variant="ooo"))
