@@ -130,17 +130,17 @@ class PreciseRunaheadController(RunaheadController):
         self._runahead_pregs.clear()
         self._runahead_instrs = []
         if head.dest_preg is not None:
-            core.poisoned_pregs.add((bool(head.dest_is_fp), head.dest_preg))
+            core.poison(head.dest_is_fp, head.dest_preg)
 
     # ------------------------------------------------------------------- exit
 
     def on_complete(self, instr: "DynInstr", cycle: int) -> None:
         core = self.core
-        if core is None:
+        if core is None or core.mode != ExecutionMode.RUNAHEAD:
             return
-        if instr.runahead and self.prdq is not None and core.mode == ExecutionMode.RUNAHEAD:
+        if instr.runahead and self.prdq is not None:
             self.prdq.mark_executed(instr)
-        if core.mode == ExecutionMode.RUNAHEAD and instr is self._stalling_load:
+        if instr is self._stalling_load:
             self._exit_runahead(cycle)
 
     def _exit_runahead(self, cycle: int) -> None:
@@ -204,21 +204,25 @@ class PreciseRunaheadController(RunaheadController):
             return 0
         emq = self.emq if self.use_emq else None
         events = core.stats.events
-        fetch_width = core.config.fetch_width
+        sst = self.sst
+        slice_pcs = sst._entries
+        limit = core.config.fetch_width
+        if emq is not None:
+            # Runahead depth is bounded by the EMQ, which buffers every
+            # consumed micro-op: the core waits for the stalling load once
+            # the queue fills up (Section 3.3).
+            limit = min(limit, emq.capacity - len(emq))
         pipeline_width = core.config.pipeline_width
         consumed = 0
         dispatched_hits = 0
-        while consumed < fetch_width and queue:
+        while consumed < limit and queue:
             entry = queue[0]
             if entry.ready_cycle > cycle:
                 break
             uop = entry.uop
-            if emq is not None and emq.is_full:
-                # Runahead depth is bounded by the EMQ: the core waits for the
-                # stalling load once the queue fills up (Section 3.3).
-                break
-            hit = self._lookup_and_learn(uop)
-            if hit:
+            if uop.pc in slice_pcs:
+                # A hit takes the full lookup (LRU update, slice learning).
+                self._lookup_and_learn(uop)
                 if dispatched_hits >= pipeline_width:
                     break
                 if not self._can_dispatch_runahead(uop):
@@ -229,15 +233,19 @@ class PreciseRunaheadController(RunaheadController):
                 if emq is not None:
                     emq.append(entry)
                     events.emq_writes += 1
-                instr = core.rename_and_dispatch(entry, runahead=True, enter_rob=False)
-                self._record_runahead_instr(instr)
+                self._record_runahead_instr(core.rename_and_dispatch(entry, True, False))
                 dispatched_hits += 1
             else:
+                # Most micro-ops are outside every slice: a miss only counts
+                # its lookup, as :meth:`_lookup_and_learn` would.
+                events.sst_lookups += 1
+                sst.stats.lookups += 1
                 queue.popleft()
                 if emq is not None:
                     emq.append(entry)
                     events.emq_writes += 1
-                self._discard_runahead_uop(entry, cycle)
+                if uop.is_branch:
+                    self._discard_runahead_branch(entry, cycle)
             consumed += 1
         return consumed
 
@@ -253,36 +261,34 @@ class PreciseRunaheadController(RunaheadController):
     def _record_runahead_instr(self, instr: "DynInstr") -> None:
         core = self.core
         assert core is not None and self.prdq is not None
-        reclaim_old = (
-            instr.prev_preg is not None
-            and (bool(instr.dest_is_fp), instr.prev_preg) in self._runahead_pregs
-        )
+        prev_preg = instr.prev_preg
+        runahead_pregs = self._runahead_pregs
         self.prdq.allocate(
             instr,
-            old_preg=instr.prev_preg,
-            old_is_fp=instr.dest_is_fp,
-            reclaim_old=reclaim_old,
+            prev_preg,
+            instr.dest_is_fp,
+            prev_preg is not None and (instr.dest_is_fp, prev_preg) in runahead_pregs,
         )
         core.stats.events.prdq_writes += 1
         if instr.dest_preg is not None:
-            self._runahead_pregs.add((bool(instr.dest_is_fp), instr.dest_preg))
+            runahead_pregs.add((instr.dest_is_fp, instr.dest_preg))
         self._runahead_instrs.append(instr)
 
-    def _discard_runahead_uop(self, entry, cycle: int) -> None:
-        """Drop a micro-op that is not part of any stalling slice.
+    def _discard_runahead_branch(self, entry, cycle: int) -> None:
+        """Resolve a branch that is dropped for not being part of any slice.
 
         Discarded branches are resolved immediately so that a mispredicted
         branch does not stall runahead fetch forever (the simulator never
         executes wrong-path instructions; see
-        :class:`repro.uarch.frontend.FrontEnd`).
+        :class:`repro.uarch.frontend.FrontEnd`).  Other discarded micro-ops
+        need no work.
         """
         core = self.core
         assert core is not None
         uop = entry.uop
-        if uop.is_branch:
-            mispredicted = entry.predicted_taken != uop.branch_taken
-            core.predictor.update(uop.pc, uop.branch_taken, entry.predicted_taken)
-            core.frontend.branch_resolved(entry.seq, cycle, mispredicted)
+        mispredicted = entry.predicted_taken != uop.branch_taken
+        core.predictor.update(uop.pc, uop.branch_taken, entry.predicted_taken)
+        core.frontend.branch_resolved(entry.seq, cycle, mispredicted)
 
     # ------------------------------------------------------------------ ticks
 

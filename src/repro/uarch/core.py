@@ -35,7 +35,7 @@ from repro.memory.hierarchy import PrivateHierarchy
 from repro.uarch.branch import GShareBranchPredictor
 from repro.uarch.config import CoreConfig
 from repro.uarch.frontend import FetchedUop, FrontEnd
-from repro.uarch.isa import execution_latency
+from repro.uarch.isa import EXECUTION_LATENCY
 from repro.uarch.issue_queue import IssueQueue
 from repro.uarch.lsq import LoadStoreQueues
 from repro.uarch.probes import Probe, ProbeSet
@@ -43,10 +43,17 @@ from repro.uarch.regfile import PhysicalRegisterFile
 from repro.uarch.rename import RegisterAliasTable, RetirementRAT
 from repro.uarch.rob import ReorderBuffer
 from repro.uarch.stats import INTERVAL_BIN_EDGES, CoreStats
-from repro.workloads.trace import FP_REG_BASE, MicroOp, Trace, TraceSource, is_fp_reg
+from repro.workloads.trace import FP_REG_BASE, MicroOp, Trace, TraceSource
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.base import RunaheadController
+
+#: :data:`~repro.uarch.isa.EXECUTION_LATENCY` keyed by the class member's
+#: identity.  Members are singletons, and an enum key would hash through the
+#: Python-level ``Enum.__hash__`` on every issued micro-op.
+_LATENCY_BY_CLASS_ID: Dict[int, int] = {
+    id(uop_class): latency for uop_class, latency in EXECUTION_LATENCY.items()
+}
 
 
 class ExecutionMode:
@@ -92,7 +99,6 @@ class DynInstr:
         "completion_cycle",
         "is_load",
         "is_store",
-        "block_op",
     )
 
     def __init__(
@@ -128,10 +134,6 @@ class DynInstr:
         self.completion_cycle: Optional[int] = None
         self.is_load = uop.is_load
         self.is_store = uop.is_store
-        #: First source operand (an (is_fp, preg) pair) the issue-select
-        #: scan found not ready, memoised so later scans re-test only it,
-        #: under the same readiness rule, until it becomes ready.
-        self.block_op: Optional[Tuple[bool, int]] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flags = "".join(
@@ -210,6 +212,9 @@ class OoOCore:
         self.mode = ExecutionMode.NORMAL
         self.cycle = 0
         self.committed_trace_uops = 0
+        #: An in-memory trace's length, which is all :attr:`finished` needs;
+        #: a streaming source's total is asked of its cursor instead.
+        self._trace_total = len(self.trace) if self.trace is not None else None
         self._events: List[Tuple[int, int, DynInstr]] = []
         self._event_counter = 0
         self._current_stall_seq: Optional[int] = None
@@ -248,11 +253,15 @@ class OoOCore:
         """Return the integer or floating-point physical register file."""
         return self.fp_rf if is_fp else self.int_rf
 
-    def schedule_completion(self, instr: DynInstr, completion_cycle: int) -> None:
-        """Schedule ``instr`` to complete execution at ``completion_cycle``."""
-        instr.completion_cycle = completion_cycle
-        self._event_counter += 1
-        heapq.heappush(self._events, (completion_cycle, self._event_counter, instr))
+    def poison(self, is_fp: bool, preg: int) -> None:
+        """Mark physical register ``preg`` invalid (INV) in runahead mode.
+
+        The one way to poison a register: a poisoned operand can turn ready
+        for the instructions allowed to consume it, so the issue queue
+        re-tests the entries parked on it.
+        """
+        self.poisoned_pregs.add((is_fp, preg))
+        self.iq.wake(is_fp, preg)
 
     @property
     def finished(self) -> bool:
@@ -261,8 +270,12 @@ class OoOCore:
         For streaming sources the total is learned when the stream exhausts;
         until then the run is by definition unfinished.
         """
-        total = self.frontend.cursor.known_length
-        return total is not None and self.committed_trace_uops >= total
+        total = self._trace_total
+        if total is None:
+            total = self.frontend.cursor.known_length
+            if total is None:
+                return False
+        return self.committed_trace_uops >= total
 
     # -------------------------------------------------------------------- run
 
@@ -307,7 +320,7 @@ class OoOCore:
         if self._events and self._events[0][0] <= cycle:
             progress += self._writeback()
         progress += self._commit()
-        if self.iq._entries:
+        if self.iq._candidates:
             progress += self._issue()
         progress += self._dispatch()
         progress += self.frontend.tick(cycle)
@@ -316,11 +329,12 @@ class OoOCore:
             progress += controller.tick(cycle)
         # One evaluation serves both the new-stall edge detection and the
         # stall-cycle accounting.
-        stalled = self._in_full_window_stall()
-        self._check_full_window_stall(stalled)
         stats = self.stats
-        if stalled:
+        if self._in_full_window_stall():
+            self._check_full_window_stall()
             stats.full_window_stall_cycles += 1
+        else:
+            self._current_stall_seq = None
         if self.mode == ExecutionMode.RUNAHEAD:
             stats.runahead_cycles += 1
         if self.probes.cycle:
@@ -406,19 +420,25 @@ class OoOCore:
 
     def _writeback(self) -> int:
         count = 0
-        events = self.stats.events
+        stats = self.stats
+        events = stats.events
         events_heap = self._events
         cycle = self.cycle
         heappop = heapq.heappop
         controller = self.controller
+        wake = self.iq.wake
         while events_heap and events_heap[0][0] <= cycle:
-            _, _, instr = heappop(events_heap)
+            instr = heappop(events_heap)[2]
             if instr.squashed:
                 continue
             instr.completed = True
-            if instr.dest_preg is not None:
-                regfile = self.fp_rf if instr.dest_is_fp else self.int_rf
-                regfile._ready[instr.dest_preg] = True
+            dest_preg = instr.dest_preg
+            if dest_preg is not None:
+                # The bank is read per instruction: a controller's on_complete
+                # may flush, which rebuilds the register files.
+                is_fp = instr.dest_is_fp
+                (self.fp_rf if is_fp else self.int_rf)._ready[dest_preg] = True
+                wake(is_fp, dest_preg)
                 events.regfile_writes += 1
                 events.iq_wakeups += 1
             uop = instr.uop
@@ -428,7 +448,7 @@ class OoOCore:
                 self.frontend.branch_resolved(instr.seq, cycle, mispredicted)
             events.executed_uops += 1
             if instr.runahead:
-                self.stats.runahead_uops_executed += 1
+                stats.runahead_uops_executed += 1
             if controller is not None:
                 controller.on_complete(instr, cycle)
             count += 1
@@ -437,21 +457,17 @@ class OoOCore:
     # ----------------------------------------------------------------- commit
 
     def _commit(self) -> int:
-        if (
-            self.mode == ExecutionMode.RUNAHEAD
-            and self.controller is not None
-            and self.controller.pseudo_retire_in_runahead
-        ):
-            return self._pseudo_retire_commit()
-        if (
-            self.mode == ExecutionMode.RUNAHEAD
-            and self.controller is not None
-            and not self.controller.commit_in_runahead
-        ):
-            return 0
-        committed = 0
+        controller = self.controller
+        if controller is not None and self.mode == ExecutionMode.RUNAHEAD:
+            if controller.pseudo_retire_in_runahead:
+                return self._pseudo_retire_commit()
+            if not controller.commit_in_runahead:
+                return 0
         self._store_commit_stalled = False
         entries = self.rob._entries
+        if not entries or not entries[0].completed:
+            return 0
+        committed = 0
         width = self.config.pipeline_width
         cycle = self.cycle
         while committed < width:
@@ -477,12 +493,17 @@ class OoOCore:
 
     def _commit_instr(self, instr: DynInstr, store_result=None) -> None:
         stats = self.stats
-        if instr.dest_preg is not None and instr.uop.dst is not None:
-            self.retirement_rat.commit(instr.uop.dst, instr.dest_preg)
-            if instr.prev_preg is not None:
+        dest_preg = instr.dest_preg
+        if dest_preg is not None:
+            # The retirement RAT's commit, inline: every renamed destination
+            # is an architectural one, so ``uop.dst`` is set whenever
+            # ``dest_preg`` is.
+            self.retirement_rat._physical[instr.uop.dst] = dest_preg
+            prev_preg = instr.prev_preg
+            if prev_preg is not None:
                 regfile = self.fp_rf if instr.dest_is_fp else self.int_rf
-                if regfile.is_allocated(instr.prev_preg):
-                    regfile.free(instr.prev_preg)
+                if prev_preg in regfile._allocated:
+                    regfile.free(prev_preg)
         if instr.is_store:
             stats.committed_stores += 1
             if self.probes.mem_access and store_result is not None:
@@ -505,71 +526,82 @@ class OoOCore:
         """Runahead-mode commit for RA and RA-buffer: drain the window without
         updating architectural state (Section 2.2)."""
         retired = 0
-        while retired < self.config.pipeline_width:
-            head = self.rob.head()
-            if head is None:
-                break
+        entries = self.rob._entries
+        width = self.config.pipeline_width
+        events = self.stats.events
+        while retired < width and entries:
+            head = entries[0]
             invalid_load = (
-                head.uop.is_load and head.issued and head.long_latency and not head.completed
+                not head.completed and head.is_load and head.issued and head.long_latency
             )
             if not head.completed and not invalid_load:
                 break
-            self.rob.pop_head()
-            if invalid_load and head.dest_preg is not None:
-                # The load's result is marked INV; dependents may issue and
-                # propagate the poison instead of waiting for the data.
-                self.regfile_for(bool(head.dest_is_fp)).set_ready(head.dest_preg)
-                self.poisoned_pregs.add((bool(head.dest_is_fp), head.dest_preg))
-            if head.prev_preg is not None and head.dest_is_fp is not None:
-                regfile = self.regfile_for(bool(head.dest_is_fp))
-                if regfile.is_allocated(head.prev_preg):
-                    regfile.free(head.prev_preg)
+            entries.popleft()
+            dest_preg = head.dest_preg
+            if dest_preg is not None:
+                regfile = self.fp_rf if head.dest_is_fp else self.int_rf
+                if invalid_load:
+                    # The load's result is marked INV; dependents may issue
+                    # and propagate the poison instead of waiting for the data.
+                    regfile.set_ready(dest_preg)
+                    self.poison(head.dest_is_fp, dest_preg)
+                prev_preg = head.prev_preg
+                if prev_preg is not None and prev_preg in regfile._allocated:
+                    regfile.free(prev_preg)
             if head.in_lsq:
                 self.lsq.release(head)
-            self.stats.events.pseudo_retired_uops += 1
+            events.pseudo_retired_uops += 1
             retired += 1
         return retired
 
     # ------------------------------------------------------------------ issue
 
-    def _has_poisoned_source(self, instr: DynInstr) -> bool:
-        if not self.poisoned_pregs:
-            return False
-        return any((is_fp, preg) in self.poisoned_pregs for is_fp, preg in instr.src_ops)
-
     def _issue(self) -> int:
         cycle = self.cycle
         config = self.config
         controller = self.controller
-        selected = self.iq.select_ready(
+        iq = self.iq
+        poisoned_pregs = self.poisoned_pregs
+        selected = iq.select_ready(
             cycle,
             config.pipeline_width,
             self.int_rf._ready,
             self.fp_rf._ready,
             config.max_loads_per_cycle,
             config.max_stores_per_cycle,
-            self.poisoned_pregs,
+            poisoned_pregs,
             _no_poison if controller is None else controller.treat_poison_as_ready,
         )
         issued = 0
         events = self.stats.events
+        heap = self._events
+        heappush = heapq.heappush
         for instr in selected:
-            poisoned = instr.poisoned or self._has_poisoned_source(instr)
+            poisoned = instr.poisoned
+            if not poisoned and poisoned_pregs:
+                for op in instr.src_ops:
+                    if op in poisoned_pregs:
+                        poisoned = True
+                        break
             if instr.is_load and not poisoned:
                 latency = self._issue_load(instr)
                 if latency is None:
                     continue  # MSHR full: retry in a later cycle.
             else:
-                latency = execution_latency(instr.uop.uop_class)
+                latency = _LATENCY_BY_CLASS_ID[id(instr.uop.uop_class)]
                 if instr.is_load:
                     instr.poisoned = True
             if poisoned and instr.dest_preg is not None:
-                self.poisoned_pregs.add((bool(instr.dest_is_fp), instr.dest_preg))
+                self.poison(instr.dest_is_fp, instr.dest_preg)
                 instr.poisoned = True
-            self.iq.remove(instr)
+            iq.remove(instr)
             instr.issued = True
             instr.issue_cycle = cycle
-            self.schedule_completion(instr, cycle + latency)
+            completion = cycle + latency
+            instr.completion_cycle = completion
+            counter = self._event_counter + 1
+            self._event_counter = counter
+            heappush(heap, (completion, counter, instr))
             events.issued_uops += 1
             events.regfile_reads += len(instr.src_ops)
             issued += 1
@@ -621,7 +653,7 @@ class OoOCore:
             if not self.can_dispatch(entry.uop):
                 break
             queue.popleft()
-            self.rename_and_dispatch(entry, runahead=False)
+            self.rename_and_dispatch(entry, False)
             dispatched += 1
         return dispatched
 
@@ -639,7 +671,8 @@ class OoOCore:
             return False
         if uop.is_memory and not self.lsq.can_dispatch_uop(uop):
             return False
-        if uop.dst is not None and self.regfile_for(is_fp_reg(uop.dst)).num_free == 0:
+        dst = uop.dst
+        if dst is not None and not (self.fp_rf if dst >= FP_REG_BASE else self.int_rf)._free:
             return False
         return True
 
@@ -662,31 +695,22 @@ class OoOCore:
         if self.controller is not None:
             self.controller.on_decode(uop, runahead)
         rat = self.rat
-        rat_entries = rat._entries
-        src_ops = tuple(
-            [(reg >= FP_REG_BASE, rat_entries[reg].physical) for reg in uop.srcs]
-        )
-        dest_is_fp: Optional[bool] = None
-        dest_preg: Optional[int] = None
-        prev_preg: Optional[int] = None
-        if uop.dst is not None:
-            dest_is_fp = uop.dst >= FP_REG_BASE
-            dest_preg = (self.fp_rf if dest_is_fp else self.int_rf).allocate()
-            previous = rat.rename(uop.dst, dest_preg, uop.pc)
-            prev_preg = previous.physical
+        src_ops = rat.operands(uop.srcs)
         cycle = self.cycle
-        instr = DynInstr(
-            uop=uop,
-            seq=entry.seq,
-            runahead=runahead,
-            src_ops=src_ops,
-            dest_is_fp=dest_is_fp,
-            dest_preg=dest_preg,
-            prev_preg=prev_preg,
-            predicted_taken=entry.predicted_taken,
-            dispatch_cycle=cycle,
-            earliest_issue_cycle=cycle + 1,
-        )
+        dst = uop.dst
+        if dst is None:
+            instr = DynInstr(
+                uop, entry.seq, runahead, src_ops, None, None, None,
+                entry.predicted_taken, cycle, cycle + 1,
+            )
+        else:
+            dest_is_fp = dst >= FP_REG_BASE
+            dest_preg = (self.fp_rf if dest_is_fp else self.int_rf).allocate()
+            instr = DynInstr(
+                uop, entry.seq, runahead, src_ops, dest_is_fp, dest_preg,
+                rat.rename(dst, dest_preg, uop.pc).physical,
+                entry.predicted_taken, cycle, cycle + 1,
+            )
         events = self.stats.events
         events.renamed_uops += 1
         events.dispatched_uops += 1
@@ -715,13 +739,9 @@ class OoOCore:
         """Whether the ROB is full behind an outstanding long-latency load."""
         return self._in_full_window_stall()
 
-    def _check_full_window_stall(self, stalled: bool) -> None:
-        """Detect the start of a new full-window stall (``stalled``: one is on)."""
-        if not stalled:
-            self._current_stall_seq = None
-            return
-        head = self.rob.head()
-        assert head is not None
+    def _check_full_window_stall(self) -> None:
+        """Detect the start of a new full-window stall while one is on."""
+        head = self.rob._entries[0]
         if self._current_stall_seq == head.seq:
             return
         self._current_stall_seq = head.seq

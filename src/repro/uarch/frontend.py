@@ -82,6 +82,14 @@ class FrontEnd:
         self._stalled_on_branch_seq: Optional[int] = None
         self._resume_cycle = 0
         self._last_fetch_line: Optional[int] = None
+        # Geometry read on every fetch and delivery, captured once.
+        self._fetch_width = config.fetch_width
+        self._depth = config.frontend_depth
+        self._queue_size = config.uop_queue_size
+        #: Micro-ops the pipeline stages hold, and with the queue in total.
+        self._pipe_capacity = config.fetch_width * config.frontend_depth
+        self._total_capacity = self._pipe_capacity + config.uop_queue_size
+        self._line_bytes = port.line_bytes if port is not None else None
 
     # -------------------------------------------------------------- queries
 
@@ -137,13 +145,12 @@ class FrontEnd:
         if not pipe or pipe[0].ready_cycle > cycle:
             return 0
         queue = self.uop_queue
-        queue_size = self.config.uop_queue_size
-        events = self.stats.events
+        limit = min(self._queue_size - len(queue), len(pipe))
         delivered = 0
-        while pipe and pipe[0].ready_cycle <= cycle and len(queue) < queue_size:
+        while delivered < limit and pipe[0].ready_cycle <= cycle:
             queue.append(pipe.popleft())
-            events.decoded_uops += 1
             delivered += 1
+        self.stats.events.decoded_uops += delivered
         return delivered
 
     def _fetch(self, cycle: int) -> int:
@@ -152,57 +159,51 @@ class FrontEnd:
             return 0
         if self._stalled_on_branch_seq is not None:
             return 0
-        config = self.config
-        cursor_fetch = self.cursor.fetch
         pipe = self._pipe
-        queue = self.uop_queue
-        events = self.stats.events
-        fetch_width = config.fetch_width
-        pipe_capacity = fetch_width * config.frontend_depth
-        total_budget = pipe_capacity + config.uop_queue_size
-        ready_base = cycle + config.frontend_depth
+        # The pipe and queue only grow inside this loop, so the room left in
+        # both bounds the fetch count up front.
+        budget = min(
+            self._fetch_width,
+            self._pipe_capacity - len(pipe),
+            self._total_capacity - len(pipe) - len(self.uop_queue),
+        )
+        if budget <= 0:
+            return 0
+        cursor_fetch = self.cursor.fetch
+        line_bytes = self._line_bytes
+        ready_base = cycle + self._depth
         fetch_index = self.fetch_index
-        port = self.port
-        i_line_bytes = port.line_bytes if port is not None else None
+        last_line = self._last_fetch_line
         fetched = 0
-        while (
-            fetched < fetch_width
-            and len(pipe) < pipe_capacity
-            and len(pipe) + len(queue) < total_budget
-        ):
+        while fetched < budget:
             uop = cursor_fetch(fetch_index)
             if uop is None:
                 break
             # Same-line fast path of _instruction_fetch_penalty, inlined:
             # consecutive micro-ops overwhelmingly share a fetch line.
-            if (
-                i_line_bytes is None
-                or uop.pc // i_line_bytes == self._last_fetch_line
-            ):
+            if line_bytes is None or uop.pc // line_bytes == last_line:
                 penalty = 0
             else:
                 penalty = self._instruction_fetch_penalty(uop.pc, cycle)
+                last_line = self._last_fetch_line
                 if penalty is None:
                     # MSHR file full: fetch stalls (``_resume_cycle`` was
                     # pushed out) and this micro-op is retried after the wait.
                     break
-            seq = fetch_index
-            fetch_index += 1
-            self.fetch_index = fetch_index
-            entry = FetchedUop(seq, uop, ready_base + penalty)
+            fetched += 1
             if uop.is_branch:
                 predicted = self.predictor.predict(uop.pc)
-                entry.predicted_taken = predicted
-                events.branch_predictions += 1
+                self.stats.events.branch_predictions += 1
+                pipe.append(FetchedUop(fetch_index, uop, ready_base + penalty, predicted))
+                fetch_index += 1
                 if predicted != uop.branch_taken:
-                    self._stalled_on_branch_seq = seq
-                    pipe.append(entry)
-                    events.fetched_uops += 1
-                    fetched += 1
+                    self._stalled_on_branch_seq = fetch_index - 1
                     break
-            pipe.append(entry)
-            events.fetched_uops += 1
-            fetched += 1
+            else:
+                pipe.append(FetchedUop(fetch_index, uop, ready_base + penalty))
+                fetch_index += 1
+        self.fetch_index = fetch_index
+        self.stats.events.fetched_uops += fetched
         return fetched
 
     def _instruction_fetch_penalty(self, pc: int, cycle: int) -> Optional[int]:

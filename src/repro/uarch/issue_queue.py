@@ -6,12 +6,20 @@ per-cycle load/store port limits.  Capacity is 92 entries in the paper's
 baseline.  Runahead-mode instructions share the queue with the stalled
 window's instructions, which is why Section 3.4 reports free-entry statistics
 at runahead entry.
+
+Selection is event-driven.  An entry that select finds blocked is *parked* on
+the first source operand it found not ready and is not looked at again until
+that operand is *woken*: the core calls :meth:`IssueQueue.wake` wherever an
+operand can turn ready (a writeback sets its ready bit, or it is poisoned in
+runahead mode).  Select therefore walks only the unparked entries — the
+candidates — instead of the whole window, most of which sits blocked behind a
+long-latency load.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import TYPE_CHECKING, Callable, Iterator, List, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.uarch.core import DynInstr
@@ -20,21 +28,29 @@ _SEQ_KEY = operator.attrgetter("seq")
 
 
 class IssueQueue:
-    """Bounded, age-ordered pool of not-yet-issued instructions.
+    """Bounded pool of not-yet-issued instructions with per-operand waiter lists.
 
-    ``_entries`` is kept sorted by sequence number.  Dispatch almost always
-    inserts in age order, so an out-of-order insert merely flags the list and
-    the next :meth:`select_ready` sorts it; removal never breaks the
-    ordering.  :meth:`select_ready` is the one issue select, with one operand
-    readiness rule for normal and runahead mode alike.
+    ``_entries`` holds every entry (occupancy counts all of them).
+    ``_candidates`` holds the unparked ones, sorted by sequence number:
+    dispatch almost always inserts in age order and a wake appends older
+    entries, so either merely flags the list and the next
+    :meth:`select_ready` sorts it.  ``_parked[is_fp][preg]`` lists the entries
+    parked on that operand in parking order.  Dicts and lists only, so every
+    walk is deterministic.  :meth:`select_ready` is the one issue select,
+    with one operand readiness rule for normal and runahead mode alike.
     """
+
+    __slots__ = ("capacity", "_entries", "_candidates", "_sorted", "_parked")
 
     def __init__(self, capacity: int = 92) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._entries: List["DynInstr"] = []
+        self._entries: Dict["DynInstr", None] = {}
+        self._candidates: List["DynInstr"] = []
         self._sorted = True
+        #: Parked entries by operand: index 0 the integer bank, 1 the fp bank.
+        self._parked: Tuple[Dict[int, List["DynInstr"]], ...] = ({}, {})
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -58,17 +74,27 @@ class IssueQueue:
         return self.free_entries / self.capacity
 
     def insert(self, instr: "DynInstr") -> None:
-        """Add a dispatched instruction to the queue."""
+        """Add a dispatched instruction to the queue as a candidate."""
         entries = self._entries
         if len(entries) >= self.capacity:
             raise OverflowError("issue queue overflow")
-        if entries and instr.seq < entries[-1].seq:
+        entries[instr] = None
+        candidates = self._candidates
+        if candidates and instr.seq < candidates[-1].seq:
             self._sorted = False
-        entries.append(instr)
+        candidates.append(instr)
 
     def remove(self, instr: "DynInstr") -> None:
-        """Remove an instruction (at issue or squash)."""
-        self._entries.remove(instr)
+        """Remove a candidate that :meth:`select_ready` returned (at issue)."""
+        del self._entries[instr]
+        self._candidates.remove(instr)
+
+    def wake(self, is_fp: bool, preg: int) -> None:
+        """Operand ``(is_fp, preg)`` may have turned ready: unpark its waiters."""
+        waiters = self._parked[is_fp].pop(preg, None)
+        if waiters:
+            self._candidates.extend(waiters)
+            self._sorted = False
 
     def select_ready(
         self,
@@ -87,25 +113,24 @@ class IssueQueue:
         or when it is in ``poisoned`` and ``poison_ok(instr)`` lets the
         instruction consume the invalid value (the controller's
         ``treat_poison_as_ready``); an instruction is ready when all its
-        operands are.  Each entry memoises its first operand found not ready
-        (``DynInstr.block_op``), and later scans re-test only that operand,
-        under the same rule, until it becomes ready: one not-ready operand
-        makes the instruction not ready, so the skip gives the full scan's
-        answer.  Load/store port limits are enforced here.  Selected
-        instructions remain in the queue; the caller removes them once it
-        actually issues them.
+        operands are.  Only candidates are walked: a candidate found blocked
+        is parked on its first operand found not ready, where it stays until
+        :meth:`wake` names that operand — one not-ready operand makes the
+        instruction not ready, so skipping it until then gives the full
+        scan's answer.  The ``earliest_issue_cycle`` gate and the load/store
+        port limits are enforced here.  Selected instructions remain
+        candidates; the caller removes them once it actually issues them.
         """
-        entries = self._entries
-        if not entries:
-            return []
+        candidates = self._candidates
         if not self._sorted:
-            entries.sort(key=_SEQ_KEY)
+            candidates.sort(key=_SEQ_KEY)
             self._sorted = True
         selected: List["DynInstr"] = []
+        parked_at: List[int] = []
         loads = 0
         stores = 0
         count = 0
-        for instr in entries:
+        for position, instr in enumerate(candidates):
             if instr.earliest_issue_cycle > cycle:
                 continue
             if instr.is_load:
@@ -113,47 +138,56 @@ class IssueQueue:
                     continue
             elif instr.is_store and stores >= max_stores:
                 continue
-            # ``poisoned and`` first: outside runahead the set is empty, and
-            # testing that is cheaper than hashing the operand to look it up.
-            block = instr.block_op
-            if block is not None:
-                if not (
-                    (fp_ready[block[1]] if block[0] else int_ready[block[1]])
-                    or (poisoned and block in poisoned and poison_ok(instr))
-                ):
-                    continue
-                instr.block_op = None
-            ready = True
             for op in instr.src_ops:
                 if fp_ready[op[1]] if op[0] else int_ready[op[1]]:
                     continue
+                # ``poisoned and`` first: outside runahead the set is empty,
+                # and testing that is cheaper than hashing the operand.
                 if poisoned and op in poisoned and poison_ok(instr):
                     continue
-                instr.block_op = op
-                ready = False
+                waiters = self._parked[op[0]]
+                parked = waiters.get(op[1])
+                if parked is None:
+                    waiters[op[1]] = [instr]
+                else:
+                    parked.append(instr)
+                parked_at.append(position)
                 break
-            if not ready:
-                continue
-            selected.append(instr)
-            count += 1
-            if count >= width:
-                break
-            if instr.is_load:
-                loads += 1
-            elif instr.is_store:
-                stores += 1
+            else:
+                selected.append(instr)
+                count += 1
+                if count >= width:
+                    break
+                if instr.is_load:
+                    loads += 1
+                elif instr.is_store:
+                    stores += 1
+        for position in reversed(parked_at):
+            del candidates[position]
         return selected
 
     def squash(self, predicate: Callable[["DynInstr"], bool]) -> List["DynInstr"]:
-        """Remove every entry matching ``predicate``; return the removed entries."""
-        removed = [instr for instr in self._entries if predicate(instr)]
+        """Remove every entry matching ``predicate``, parked or not; return them."""
+        entries = self._entries
+        removed = [instr for instr in entries if predicate(instr)]
         if removed:
-            self._entries = [instr for instr in self._entries if not predicate(instr)]
+            for instr in removed:
+                del entries[instr]
+            self._candidates = [instr for instr in self._candidates if instr in entries]
+            for bank in self._parked:
+                for preg, waiters in list(bank.items()):
+                    kept = [instr for instr in waiters if instr in entries]
+                    if kept:
+                        bank[preg] = kept
+                    else:
+                        del bank[preg]
         return removed
 
     def clear(self) -> List["DynInstr"]:
         """Remove all entries (pipeline flush)."""
-        removed = self._entries
-        self._entries = []
+        removed = list(self._entries)
+        self._entries = {}
+        self._candidates = []
         self._sorted = True
+        self._parked = ({}, {})
         return removed

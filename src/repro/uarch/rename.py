@@ -18,12 +18,22 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.workloads.trace import FP_REG_BASE, NUM_ARCH_REGS, is_fp_reg
 
 
-@dataclass(frozen=True)
 class RATEntry:
-    """One architectural register's current mapping."""
+    """One architectural register's current mapping.
 
-    physical: int
-    producer_pc: Optional[int] = None
+    ``operand`` is the ``(is_fp, physical)`` tag that readers of the register
+    wait on in the issue queue, built once per mapping instead of once per
+    read.  A ``__slots__`` value class: rename builds one per renamed
+    destination, so construction must stay cheap.  Immutable by convention,
+    like the checkpoints that hold it; equality is identity.
+    """
+
+    __slots__ = ("physical", "producer_pc", "operand")
+
+    def __init__(self, physical: int, is_fp: bool, producer_pc: Optional[int] = None) -> None:
+        self.physical = physical
+        self.producer_pc = producer_pc
+        self.operand = (is_fp, physical)
 
 
 @dataclass(frozen=True)
@@ -44,7 +54,7 @@ class RegisterAliasTable:
         # bank: integer arch regs 0..31 -> int p0..p31, fp arch regs 32..63 ->
         # fp p0..p31.
         self._entries: List[RATEntry] = [
-            RATEntry(physical=self.initial_physical(arch)) for arch in range(num_entries)
+            RATEntry(self.initial_physical(arch), is_fp_reg(arch)) for arch in range(num_entries)
         ]
 
     @staticmethod
@@ -66,12 +76,26 @@ class RegisterAliasTable:
         """Full mapping entry for ``arch``."""
         return self._entries[arch]
 
+    def operands(self, archs: Tuple[int, ...]) -> Tuple[Tuple[bool, int], ...]:
+        """The ``(is_fp, physical)`` operands ``archs`` map to, in order.
+
+        Rename reads one per micro-op.  Micro-ops read one or two registers,
+        and those lengths skip building a comprehension.
+        """
+        entries = self._entries
+        if len(archs) == 2:
+            return (entries[archs[0]].operand, entries[archs[1]].operand)
+        if len(archs) == 1:
+            return (entries[archs[0]].operand,)
+        return tuple([entries[arch].operand for arch in archs])
+
     # ----------------------------------------------------------------- update
 
     def rename(self, arch: int, physical: int, producer_pc: Optional[int]) -> RATEntry:
         """Point ``arch`` at ``physical``; return the previous mapping."""
-        previous = self._entries[arch]
-        self._entries[arch] = RATEntry(physical=physical, producer_pc=producer_pc)
+        entries = self._entries
+        previous = entries[arch]
+        entries[arch] = RATEntry(physical, arch >= FP_REG_BASE, producer_pc)
         return previous
 
     # ----------------------------------------------------- checkpoint/restore
@@ -136,5 +160,7 @@ class RetirementRAT:
     def to_checkpoint(self) -> RATCheckpoint:
         """Express the retirement mapping as a RAT checkpoint (producer PCs cleared)."""
         return RATCheckpoint(
-            entries=tuple(RATEntry(physical=phys) for phys in self._physical)
+            entries=tuple(
+                RATEntry(physical, is_fp_reg(arch)) for arch, physical in enumerate(self._physical)
+            )
         )

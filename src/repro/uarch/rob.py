@@ -48,9 +48,10 @@ class ReorderBuffer:
 
     def push(self, instr: "DynInstr") -> None:
         """Append an instruction at the tail (dispatch)."""
-        if self.is_full:
+        entries = self._entries
+        if len(entries) >= self.capacity:
             raise OverflowError("ROB overflow")
-        self._entries.append(instr)
+        entries.append(instr)
 
     def pop_head(self) -> "DynInstr":
         """Remove and return the head (commit or pseudo-retire)."""
