@@ -117,13 +117,19 @@ class TestImportIsolation:
 class TestSchemaCaptureScript:
     def test_capture_script_is_idempotent_at_head(self):
         golden = REPO_ROOT / "tests" / "goldens" / "schema_fingerprint.json"
-        before = golden.read_text()
-        proc = subprocess.run(
-            [sys.executable, str(REPO_ROOT / "scripts" / "capture_schema_fingerprint.py")],
-            capture_output=True,
-            text=True,
-            cwd=REPO_ROOT,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "up to date" in proc.stdout
-        assert golden.read_text() == before
+        before = golden.read_bytes()
+        try:
+            proc = subprocess.run(
+                [sys.executable, str(REPO_ROOT / "scripts" / "capture_schema_fingerprint.py")],
+                capture_output=True,
+                text=True,
+                cwd=REPO_ROOT,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert "up to date" in proc.stdout
+            assert golden.read_bytes() == before
+        finally:
+            # A stale golden makes the script rewrite it before the asserts
+            # fail; put the committed bytes back so the next run fails too.
+            if golden.read_bytes() != before:
+                golden.write_bytes(before)
