@@ -19,10 +19,12 @@ won, the failed operations and a verdict against the metric's bound in
 ``BENCHMARK.json``:
 
 * ``worse``: the change's median is worse than the base's by more than the
-  bound;
-* ``unresolved``: not worse, but the base's spread (interquartile range over
-  median) exceeds the bound and not every change run beats every base run;
-* ``ok``: otherwise.
+  bound, and the base's spread (interquartile range over median) is within
+  the bound or every change run is worse than every base run;
+* ``ok``: the change's median is not worse by more than the bound, and the
+  base's spread is within the bound or every change run beats every base run;
+* ``unresolved``: every other case; the base's spread then exceeds the bound,
+  and host noise could explain what the medians show.
 
 Exits 1 on any ``worse`` metric or any failed operation on the change side,
 else 0.  Needs only the standard library, ``git`` and ``tar``; it never
@@ -104,11 +106,13 @@ def judge(
     worse_by = (change_q[1] - base_q[1]) / base_q[1]
     if not lower:
         worse_by = -worse_by
+    # Host noise alone cannot settle a comparison against a base whose own
+    # spread exceeds the bound; only a clean separation of the runs can.
+    steady = (base_q[2] - base_q[0]) / base_q[1] <= bound
     if worse_by > bound:
-        row["verdict"] = "worse"
-    elif (base_q[2] - base_q[0]) / base_q[1] <= bound or all(
-        better(c, b) for c in change for b in base
-    ):
+        if steady or all(better(b, c) for c in change for b in base):
+            row["verdict"] = "worse"
+    elif steady or all(better(c, b) for c in change for b in base):
         row["verdict"] = "ok"
     row.update(base=base_q, change=change_q, ratio=change_q[1] / base_q[1])
     return row

@@ -43,7 +43,8 @@ Classes opt in by inheriting :class:`JSONSerializable`, which adds the
 ``to_dict``/``from_dict``/``to_json``/``from_json`` quartet.  Round-tripping
 is exact: ints stay ints and floats survive ``repr`` round-trips, so a result
 loaded from the on-disk cache compares equal to the freshly simulated one.
-:func:`write_json` is the one JSON file writer.
+:func:`write_json` is the one JSON file writer (:func:`write_json_text` its
+atomic half, for text that is already encoded).
 """
 
 from __future__ import annotations
@@ -394,19 +395,28 @@ def canonical_json(value: Any) -> str:
     return json.dumps(to_jsonable(value), sort_keys=True, separators=(",", ":"))
 
 
-def write_json(path: Union[str, Path], value: Any) -> None:
-    """Write ``value`` to ``path`` as JSON, atomically.
+def write_json(path: Union[str, Path], value: Any) -> str:
+    """Write ``value`` to ``path`` as JSON, atomically; returns the text written.
 
     The text comes from ``json.dumps``, CPython's C encoder (``json.dump``
     to a file runs the pure-Python one, about 4x slower, for the same
-    bytes).  It goes to a temp file beside ``path`` that is then renamed
-    over it, so a reader, a crash or a second process sharing the directory
-    never observes a half-written file.  The temp file's name starts with a
-    dot, which :class:`~repro.simulation.engine.ResultCache` relies on to
-    skip in-flight writes.
+    bytes), and is written by :func:`write_json_text`.
+    """
+    text = json.dumps(value)
+    write_json_text(path, text)
+    return text
+
+
+def write_json_text(path: Union[str, Path], text: str) -> None:
+    """Write already-encoded JSON ``text`` to ``path``, atomically.
+
+    The text goes to a temp file beside ``path`` that is then renamed over
+    it, so a reader, a crash or a second process sharing the directory never
+    observes a half-written file.  The temp file's name starts with a dot,
+    which :class:`~repro.simulation.engine.ResultCache` relies on to skip
+    in-flight writes.
     """
     path = Path(path)
-    text = json.dumps(value)
     fd, tmp_name = tempfile.mkstemp(
         dir=str(path.parent), prefix=".tmp-", suffix=".json"
     )

@@ -17,13 +17,13 @@ malformed document is rejected at admission — before it occupies a queue
 slot.  One method builds a parsed document's engine jobs
 (:meth:`ParsedDocument.jobs`): expanding them *without running them* is how
 the server reports cache-dedupe accounting in the admission response, and
-running them through
-:meth:`~repro.simulation.engine.ExperimentEngine.run_jobs` and folding the
-results is how it executes the job.
+running them through the engine and folding the results into one JSON
+document is how it executes the job (:meth:`ParsedDocument.execute`).
 """
 
 from __future__ import annotations
 
+import json
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
@@ -33,7 +33,7 @@ from repro.simulation.engine import (
     JobSpec,
     SweepSpec,
     sweep_jobs,
-    sweep_result,
+    sweep_result_json,
 )
 from repro.simulation.shard import ReplaySpec, shard_jobs, stitch
 from repro.simulation.study import StudySpec, build_study, study_jobs, study_result
@@ -104,29 +104,34 @@ class ParsedDocument:
         engine: ExperimentEngine,
         progress: Optional[CellProgress] = None,
         executor=None,
-    ) -> Dict[str, Any]:
-        """Run the document through ``engine`` and return its result document.
+    ) -> str:
+        """Run the document through ``engine`` and return its result document's JSON.
 
-        One :meth:`~ExperimentEngine.run_jobs` call over :meth:`jobs`, with
-        ``progress`` and ``executor`` passed through (the server passes its
-        fleet coordinator's executor), then the kind's fold.  The result is
-        the JSON-able ``to_dict`` of the kind's native result type
-        (:class:`SweepResult` / :class:`StudyResult` /
-        :class:`ShardedRunResult`), so clients rebuild the same objects the
-        in-process APIs return.
+        One engine call over :meth:`jobs`, with ``progress`` and ``executor``
+        passed through (the server passes its fleet coordinator's executor),
+        then the kind's fold.  The result is the ``json.dumps`` text of the
+        ``to_dict`` of the kind's native result type (:class:`SweepResult` /
+        :class:`StudyResult` / :class:`ShardedRunResult`), so clients rebuild
+        the same objects the in-process APIs return.  A sweep's document is
+        spliced from its cells' stored texts
+        (:meth:`~ExperimentEngine.run_job_texts`,
+        :func:`~repro.simulation.engine.sweep_result_json`), so a cached cell
+        is never decoded into a result object; studies and replays decode,
+        because their folds compute from the stats.
         """
         jobs = self.jobs(engine)
-        results = engine.run_jobs(jobs, progress=progress, executor=executor)
         if self.kind == "sweep":
-            result = sweep_result(self.spec, results)
-        elif self.kind == "study":
+            texts = engine.run_job_texts(jobs, progress=progress, executor=executor)
+            return sweep_result_json(self.spec, texts)
+        results = engine.run_jobs(jobs, progress=progress, executor=executor)
+        if self.kind == "study":
             result = study_result(self.spec, results, engine.last_run_stats)
         else:
             source = jobs[0].trace
             result = stitch(
                 self.spec.plan(source.length), source.name, self.spec.variant, results
             )
-        return result.to_dict()
+        return json.dumps(result.to_dict())
 
 
 def parse_document(data: Any) -> ParsedDocument:

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import signal
 import sys
 import threading
@@ -52,7 +53,7 @@ from repro.errors import (
     BadSpecError,
     JobCancelled,
 )
-from repro.serde import write_json
+from repro.serde import write_json_text
 from repro.service.documents import ParsedDocument, parse_document
 from repro.service.fleet import (
     DEFAULT_LEASE_TTL,
@@ -68,6 +69,13 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 
 #: Default long-poll timeout for ``GET /v1/jobs/<id>/events`` (seconds).
 DEFAULT_EVENT_TIMEOUT = 25.0
+
+#: How long a long-poll that has undelivered events gathers more before it
+#: is answered (seconds); a state change answers it at once.
+EVENT_BATCH_WINDOW = 0.1
+
+#: Event types that change a job's state and answer a pending long-poll at once.
+STATE_EVENTS = frozenset({"started", "done", "failed"})
 
 _HTTP_REASONS = {
     200: "OK",
@@ -255,19 +263,34 @@ class ExperimentService:
     # ------------------------------------------------------------ job worker
 
     async def _worker_loop(self) -> None:
-        assert self._loop is not None
+        """Run queued jobs one at a time.
+
+        The journal's fsync'd appends and the result file are written in the
+        loop's default executor, never on the loop itself, so requests keep
+        being answered while they run.  A finished job's order is: result
+        file, ``finished`` fsync, then state ``done`` and the ``done`` event.
+        """
+        loop = self._loop
+        assert loop is not None
         while True:
             job_id = await self._queue.get()
             job = self.jobs.get(job_id)
             if job is None or job.record.state not in ("queued",):
                 continue
             job.record.state = "running"
-            self.journal.append({"event": "started", "id": job_id})
+            await loop.run_in_executor(
+                None, self.journal.append, {"event": "started", "id": job_id}
+            )
             self._post_event(job, {"type": "started"})
             try:
-                outcome = await self._loop.run_in_executor(
-                    self._executor, self._execute_job, job
-                )
+                if self._stop.is_set():
+                    # stop() began during the append and is shutting the job
+                    # thread down: leave the job to resume on the next start.
+                    outcome: Tuple[Any, ...] = ("cancelled", None, None, None)
+                else:
+                    outcome = await loop.run_in_executor(
+                        self._executor, self._execute_job, job
+                    )
             except asyncio.CancelledError:
                 # stop() cancelled us mid-await; the thread unwinds on its
                 # own via the _stop flag and the job resumes next start.
@@ -284,13 +307,12 @@ class ExperimentService:
             kind = outcome[0]
             try:
                 if kind == "ok":
-                    _, result_doc, accounting, _ = outcome
-                    write_json(self._result_path(job_id), result_doc)
+                    _, result_text, accounting, _ = outcome
+                    await loop.run_in_executor(
+                        None, self._record_result, job_id, result_text, accounting
+                    )
                     job.record.accounting = accounting
                     job.record.state = "done"
-                    self.journal.append(
-                        {"event": "finished", "id": job_id, "accounting": accounting}
-                    )
                     self._post_event(job, {"type": "done", "accounting": accounting})
                     self._log(f"job {job_id} done: {accounting}")
                 elif kind == "cancelled":
@@ -300,30 +322,40 @@ class ExperimentService:
                     self._interrupted_jobs += 1
                     self._log(f"job {job_id} interrupted; will resume on restart")
                 else:
-                    self._fail_job(job, outcome)
+                    await self._fail_job(job, outcome)
             except asyncio.CancelledError:
                 raise
             except BaseException as exc:  # noqa: BLE001 — e.g. a result-write OSError
-                self._fail_job(
+                await self._fail_job(
                     job,
                     ("failed", 500, f"{type(exc).__name__}: {exc}",
                      traceback.format_exc()),
                 )
 
-    def _fail_job(self, job: _Job, outcome: Tuple[Any, ...]) -> None:
-        """Journal and publish a terminal failure (traceback included)."""
+    def _record_result(
+        self, job_id: str, result_text: str, accounting: Dict[str, int]
+    ) -> None:
+        """Write a finished job's result file, then journal it ``finished``."""
+        write_json_text(self._result_path(job_id), result_text)
+        self.journal.append(
+            {"event": "finished", "id": job_id, "accounting": accounting}
+        )
+
+    async def _fail_job(self, job: _Job, outcome: Tuple[Any, ...]) -> None:
+        """Journal, then publish, a terminal failure (traceback included)."""
         _, status, message, trace = outcome
         job_id = job.record.id
-        job.record.state = "failed"
-        job.record.error = message
-        job.record.error_status = status
-        job.record.error_traceback = trace
         event: Dict[str, Any] = {
             "event": "failed", "id": job_id, "status": status, "error": message,
         }
         if trace is not None:
             event["traceback"] = trace
-        self.journal.append(event)
+        assert self._loop is not None
+        await self._loop.run_in_executor(None, self.journal.append, event)
+        job.record.state = "failed"
+        job.record.error = message
+        job.record.error_status = status
+        job.record.error_traceback = trace
         self._post_event(
             job, {"type": "failed", "status": status, "error": message}
         )
@@ -354,7 +386,7 @@ class ExperimentService:
 
         try:
             parsed: ParsedDocument = parse_document(job.record.document)
-            result_doc = parsed.execute(
+            result_text = parsed.execute(
                 self.engine,
                 progress=progress,
                 executor=self.fleet.make_executor(job.record, self.engine.execute),
@@ -368,7 +400,7 @@ class ExperimentService:
                 "failed", 500, f"{type(exc).__name__}: {exc}",
                 traceback.format_exc(),
             )
-        return ("ok", result_doc, counts, None)
+        return ("ok", result_text, counts, None)
 
     def _result_path(self, job_id: str) -> Path:
         """The file holding a finished job's result document."""
@@ -394,16 +426,35 @@ class ExperimentService:
         job.wake_waiters()
 
     async def _wait_for_events(self, job: _Job, after: int, timeout: float) -> None:
-        """Block until ``job`` has events beyond ``after``, timeout or shutdown."""
-        if len(job.events) > after or job.terminal or self._stop.is_set():
-            return
-        assert self._loop is not None
-        waiter: asyncio.Future = self._loop.create_future()
-        job.waiters.append(waiter)
-        try:
-            await asyncio.wait_for(waiter, timeout)
-        except asyncio.TimeoutError:
-            pass
+        """Block until a poll for ``job``'s events beyond ``after`` is answered.
+
+        At once when the job is terminal, the daemon is stopping, or an
+        undelivered event changes the job's state (:data:`STATE_EVENTS`).
+        Otherwise the poll waits up to ``timeout`` for a first undelivered
+        event, then gathers more for up to :data:`EVENT_BATCH_WINDOW`, so a
+        burst of cell events costs one response instead of one each.
+        """
+        loop = self._loop
+        assert loop is not None
+        deadline = loop.time() + timeout
+        checked = after
+        while not (job.terminal or self._stop.is_set()):
+            fresh = job.events[checked:]
+            if any(event["type"] in STATE_EVENTS for event in fresh):
+                return
+            if fresh:
+                if checked == after:
+                    deadline = min(deadline, loop.time() + EVENT_BATCH_WINDOW)
+                checked += len(fresh)
+            remaining = deadline - loop.time()
+            if remaining <= 0:
+                return
+            waiter: asyncio.Future = loop.create_future()
+            job.waiters.append(waiter)
+            try:
+                await asyncio.wait_for(waiter, remaining)
+            except asyncio.TimeoutError:
+                return
 
     # ------------------------------------------------------------ admission
 
@@ -703,12 +754,9 @@ class ExperimentService:
         if len(parts) == 5 and parts[4] == "events":
             if method != "GET":
                 raise _HttpError(405, f"{method} not supported on {path}")
-            after = int(query.get("after", ["0"])[0])
-            timeout = min(
-                float(query.get("timeout", [str(DEFAULT_EVENT_TIMEOUT)])[0]), 120.0
-            )
+            after, timeout = _events_query(query)
             await self._wait_for_events(job, after, timeout)
-            events = [event for event in job.events if event["seq"] > after]
+            events = job.events[after:]  # event n is job.events[n - 1]
             return (
                 200,
                 {
@@ -754,6 +802,33 @@ class ExperimentService:
             body = envelope[:-1].encode() + b', "result": ' + stored + b"}"
             return 200, body, {}
         raise _HttpError(404, f"no route for {path!r}")
+
+
+def _events_query(query: Dict[str, List[str]]) -> Tuple[int, float]:
+    """``/events``' ``after`` cursor and ``timeout`` (capped at 120 s), checked.
+
+    ``after`` must be a non-negative integer and ``timeout`` a finite number;
+    anything else is a 400, not an internal error.
+    """
+    after_text = query.get("after", ["0"])[0]
+    try:
+        after = int(after_text)
+    except ValueError:
+        after = -1
+    if after < 0:
+        raise _HttpError(
+            400, f"after must be a non-negative integer, got {after_text!r}"
+        )
+    timeout_text = query.get("timeout", [str(DEFAULT_EVENT_TIMEOUT)])[0]
+    try:
+        timeout = float(timeout_text)
+    except ValueError:
+        timeout = math.nan
+    if not math.isfinite(timeout):
+        raise _HttpError(
+            400, f"timeout must be a finite number, got {timeout_text!r}"
+        )
+    return after, min(timeout, 120.0)
 
 
 def _read_stored_json(path: Path) -> bytes:
@@ -856,6 +931,7 @@ async def serve(service: ExperimentService) -> int:
 
 __all__ = [
     "DEFAULT_EVENT_TIMEOUT",
+    "EVENT_BATCH_WINDOW",
     "ExperimentService",
     "MAX_BODY_BYTES",
     "ServiceThread",

@@ -286,6 +286,34 @@ def sweep_result(spec: SweepSpec, results: Sequence[SimulationResult]) -> SweepR
     return SweepResult(spec=spec, cells=cells)
 
 
+#: Holds each cell's place while :func:`sweep_result_json` encodes the frame.
+_CELL_SLOT = "\x00cell\x00"
+
+
+def sweep_result_json(spec: SweepSpec, texts: Sequence[str]) -> str:
+    """``json.dumps(sweep_result(spec, results).to_dict())``, from each result's text.
+
+    ``texts`` are the results of :func:`sweep_jobs`, in job order, as
+    ``json.dumps`` text of their ``to_dict`` form (what
+    :meth:`ExperimentEngine.run_job_texts` returns).  The frame around them
+    (spec, overrides, benchmark names, variants) is encoded with a slot per
+    cell, and each slot is replaced by its text as is, so no result is
+    decoded or re-encoded; the document is byte-identical to the decoded
+    fold's.
+    """
+    frame = json.dumps(sweep_result(spec, [_CELL_SLOT] * len(texts)).to_dict())
+    pieces = frame.split(json.dumps(_CELL_SLOT))
+    if len(pieces) != len(texts) + 1:
+        raise ValueError(
+            f"sweep frame has {len(pieces) - 1} cell slots for {len(texts)} results"
+        )
+    spliced = [pieces[0]]
+    for text, piece in zip(texts, pieces[1:]):
+        spliced.append(text)
+        spliced.append(piece)
+    return "".join(spliced)
+
+
 # ----------------------------------------------------------------- job model
 
 
@@ -574,12 +602,15 @@ class ResultCache:
         """
         return self.path_for(key).is_file()
 
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
-        """Return the cached payload for ``key``, or ``None`` on a miss."""
+    def read(self, key: str) -> Optional[Tuple[str, Dict[str, Any]]]:
+        """``key``'s entry as ``(stored text, decoded payload)``, or ``None``.
+
+        The text is decoded once, so an entry that does not decode is a miss.
+        """
         path = self.path_for(key)
         try:
-            with path.open("r", encoding="utf-8") as handle:
-                payload = json.load(handle)
+            text = path.read_text(encoding="utf-8")
+            payload = json.loads(text)
         except (OSError, ValueError):
             self.misses += 1
             return None
@@ -588,13 +619,19 @@ class ResultCache:
         except OSError:
             pass  # entry may have raced with another process's prune
         self.hits += 1
-        return payload
+        return text, payload
 
-    def put(self, key: str, payload: Dict[str, Any]) -> None:
-        """Store ``payload`` under ``key`` atomically."""
-        write_json(self.path_for(key), payload)
+    def get(self, key: str) -> Optional[Dict[str, Any]]:
+        """Return the cached payload for ``key``, or ``None`` on a miss."""
+        entry = self.read(key)
+        return None if entry is None else entry[1]
+
+    def put(self, key: str, payload: Dict[str, Any]) -> str:
+        """Store ``payload`` under ``key`` atomically; returns the stored text."""
+        text = write_json(self.path_for(key), payload)
         if self.max_bytes is not None:
             self.prune()
+        return text
 
     def _entries(self) -> List[Tuple[Path, int, float]]:
         """Every live entry as ``(path, size, mtime)``; racing deletes skipped."""
@@ -848,9 +885,32 @@ class ExperimentEngine:
         order); cache writes and progress accounting stay on this side, so a
         distributed run is cache-accounted identically to a local one.
         """
+        cells = self._run_cells(jobs, progress, executor)
+        return [SimulationResult.from_dict(payload) for _, payload in cells]
+
+    def run_job_texts(
+        self, jobs: Sequence[JobSpec], progress=None, executor=None
+    ) -> List[str]:
+        """:meth:`run_jobs`, with each result as its JSON text instead of decoded.
+
+        A cached cell's text is the entry's stored text (decoded once, only
+        to check it, so an entry that does not decode is re-simulated); any
+        other cell's is the ``json.dumps`` of its ``to_dict`` form, which is
+        what the cache stores.
+        """
+        return [
+            json.dumps(payload) if text is None else text
+            for text, payload in self._run_cells(jobs, progress, executor)
+        ]
+
+    def _run_cells(
+        self, jobs: Sequence[JobSpec], progress, executor
+    ) -> List[Tuple[Optional[str], Dict[str, Any]]]:
+        """The one cache-and-execute loop: ``(stored text or None, result dict)``
+        per job, in job order (see :meth:`run_jobs`)."""
         payloads = self.expand_job_payloads(jobs)
         stats = EngineRunStats(total_jobs=len(payloads))
-        outputs: List[Optional[Dict[str, Any]]] = [None] * len(payloads)
+        outputs: List[Any] = [None] * len(payloads)
         pending: List[int] = []
         keys: List[Optional[str]] = [None] * len(payloads)
         done = 0
@@ -858,7 +918,7 @@ class ExperimentEngine:
         for index, payload in enumerate(payloads):
             if self.cache is not None:
                 keys[index] = job_cache_key(payload)
-                cached = self.cache.get(keys[index])
+                cached = self.cache.read(keys[index])
                 if cached is not None:
                     outputs[index] = cached
                     stats.cache_hits += 1
@@ -873,10 +933,11 @@ class ExperimentEngine:
             def on_result(offset: int, produced: Dict[str, Any]) -> None:
                 nonlocal done
                 index = pending[offset]
-                outputs[index] = produced
-                stats.simulated += 1
+                text = None
                 if self.cache is not None and keys[index] is not None:
-                    self.cache.put(keys[index], produced)
+                    text = self.cache.put(keys[index], produced)
+                outputs[index] = (text, produced)
+                stats.simulated += 1
                 done += 1
                 if progress is not None:
                     progress(done, len(payloads), "simulated")
@@ -884,7 +945,7 @@ class ExperimentEngine:
             (executor or self.execute)([payloads[i] for i in pending], on_result)
 
         self.last_run_stats = stats
-        return [SimulationResult.from_dict(output) for output in outputs]
+        return outputs
 
     def execute(self, payloads: List[Dict[str, Any]], on_result) -> None:
         """The local executor: run ``payloads`` in a process pool or in-process.
@@ -995,4 +1056,5 @@ __all__ = [
     "job_cache_key",
     "sweep_jobs",
     "sweep_result",
+    "sweep_result_json",
 ]

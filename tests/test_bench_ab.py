@@ -80,6 +80,22 @@ def test_a_base_spread_wider_than_the_bound_is_unresolved():
     assert (row["verdict"], row["wins"], status) == ("ok", 5, 0)
 
 
+def test_a_bound_miss_against_a_noisy_base_is_unresolved():
+    # The shape of a host-noise miss: the change's median is 30% slower, past
+    # the 25% bound, but the base's own spread (IQR 55% of its median) is
+    # wider still and the runs overlap.
+    noisy = [1.0, 0.5, 1.6, 0.75, 1.3]
+    row, status = verdict("warm_job_s.p90", noisy, [1.3, 0.9, 1.5, 1.2, 1.4])
+    assert row["ratio"] == pytest.approx(1.3)
+    assert (row["verdict"], status) == ("unresolved", 0)
+
+
+def test_a_bound_miss_against_a_noisy_base_with_every_run_worse_fails():
+    noisy = [1.0, 0.5, 1.6, 0.75, 1.3]
+    row, status = verdict("warm_job_s.p90", noisy, [1.7, 1.8, 2.0, 1.9, 1.75])
+    assert (row["verdict"], row["wins"], status) == ("worse", 0, 1)
+
+
 def test_a_failed_operation_on_the_change_side_fails():
     row, status = verdict("warm_job_s.p90", STEADY, STEADY, change_failed=1)
     assert (row["verdict"], row["change_failed"], status) == ("ok", 5, 1)

@@ -32,16 +32,17 @@ from repro.errors import (
     EXIT_SIM_FAILURE,
     BadSpecError,
 )
-from repro.registry import build_workload_source
+from repro.registry import PROBE_REGISTRY, build_workload_source
 from repro.service import ServiceClient, ServiceError, parse_document
 from repro.service.fleet import CELL_ID_HEX
 from repro.service.journal import JobJournal, next_seq, replay_journal
-from repro.service.server import ServiceThread
+from repro.service.server import EVENT_BATCH_WINDOW, ServiceThread
 from repro.simulation.engine import (
     ExperimentEngine,
     SweepResult,
     job_cache_key,
     sweep_jobs,
+    sweep_result,
 )
 from repro.workloads.source import write_trace_file
 
@@ -347,6 +348,247 @@ def test_events_long_poll_cursor(service):
     # The cursor resumes exactly where the previous poll left off.
     tail = client.events(job_id, after=chunk["next"] - 1, timeout=1.0)
     assert [event["seq"] for event in tail["events"]] == [chunk["next"]]
+
+
+def test_malformed_events_query_is_http_400(service):
+    client = ServiceClient(service.base_url)
+    job_id = client.submit(SWEEP_DOC)["id"]
+    _, events = wait_for(client, job_id)
+    path = f"/v1/jobs/{job_id}/events"
+    for query, field in [
+        ("after=abc", "after"),
+        ("after=1.5", "after"),
+        # A negative cursor used to answer next = after + len(events), so the
+        # following poll re-delivered events.
+        ("after=-3", "after"),
+        ("timeout=abc", "timeout"),
+        ("timeout=inf", "timeout"),
+        ("timeout=nan", "timeout"),
+    ]:
+        status, body = _raw_get(service.base_url, f"{path}?{query}")
+        assert status == 400, query
+        assert field in json.loads(body)["error"], query
+    status, body = _raw_get(service.base_url, f"{path}?after=1&timeout=0.5")
+    assert status == 200
+    assert json.loads(body)["events"] == events[1:]
+
+
+# ---------------------------------------------- spliced results, batched events
+
+#: Sweeps whose spliced documents must match the decoded fold byte for byte.
+SPLICE_SPECS = {
+    "single-config": {"workloads": ["mcf", "milc"], "variants": ["ooo", "pre"]},
+    "configs": {
+        "workloads": ["mcf"],
+        "variants": ["ooo", "pre"],
+        "configs": [{}, {"rob_size": 64}],
+    },
+    "multicore": {
+        "workloads": ["mcf"],
+        "variants": ["ooo", "pre"],
+        "multicore": {"cores": [{"workload": "milc", "variant": "ooo"}]},
+    },
+    "probed": {
+        "workloads": ["mcf"],
+        "variants": ["ooo", "pre"],
+        "probes": PROBE_REGISTRY.names(),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLICE_SPECS))
+def test_spliced_sweep_document_matches_the_decoded_fold(tmp_path, name):
+    parsed = parse_document(
+        {"kind": "sweep", "spec": dict(SPLICE_SPECS[name], num_uops=300)}
+    )
+    uncached = ExperimentEngine()
+    expected = json.dumps(
+        sweep_result(parsed.spec, uncached.run_jobs(sweep_jobs(parsed.spec, uncached)))
+        .to_dict()
+    )
+    engine = ExperimentEngine(cache_dir=tmp_path / "cache")
+    cold = parsed.execute(engine)
+    assert engine.last_run_stats.simulated == engine.last_run_stats.total_jobs
+    warm = parsed.execute(engine)
+    assert engine.last_run_stats.cache_hits == engine.last_run_stats.total_jobs
+    assert cold == expected
+    assert warm == expected
+
+
+def test_a_corrupt_cached_cell_is_resimulated_into_the_same_document(service):
+    doc = {
+        "kind": "sweep",
+        "spec": {"workloads": ["mcf"], "variants": ["ooo", "pre"], "num_uops": 200},
+    }
+    client = ServiceClient(service.base_url)
+    cold_id = client.submit(doc)["id"]
+    wait_for(client, cold_id)
+    engine = service.service.engine
+    payloads = engine.expand_job_payloads(parse_document(doc).jobs(engine))
+    entry = engine.cache.path_for(job_cache_key(payloads[1]))
+    entry.write_bytes(entry.read_bytes()[:-10])  # truncated: no longer decodes
+
+    warm_id = client.submit(doc)["id"]
+    final, events = wait_for(client, warm_id)
+    assert final["accounting"] == {"total": 2, "cached": 1, "simulated": 1}
+    assert [event["source"] for event in events if event["type"] == "cell"] == [
+        "cached", "simulated",
+    ]
+    results = service.service.results_dir
+    cold = (results / f"{cold_id}.json").read_bytes()
+    assert (results / f"{warm_id}.json").read_bytes() == cold
+    # The re-simulated cell is stored again, whole.
+    stored = json.loads(cold)["cells"][0]["comparison"]["benchmarks"][0]["results"]
+    assert json.loads(entry.read_text()) == stored["pre"]
+
+
+def test_events_arrive_once_in_order_and_a_cached_job_takes_two_polls(
+    service, monkeypatch
+):
+    import repro.service.server as server_module
+
+    doc = {
+        "kind": "sweep",
+        "spec": {
+            "workloads": ["mcf", "milc"],
+            "variants": ["ooo", "runahead", "pre"],
+            "num_uops": 200,
+        },
+    }
+    client = ServiceClient(service.base_url)
+    polls = []
+    real_events = client.events
+
+    def counted_events(*args, **kwargs):
+        polls.append(real_events(*args, **kwargs))
+        return polls[-1]
+
+    client.events = counted_events
+
+    def run_job():
+        polls.clear()
+        final, events = wait_for(client, client.submit(doc)["id"])
+        assert final["state"] == "done"
+        delivered = [event for chunk in polls for event in chunk["events"]]
+        assert delivered == events
+        assert [event["seq"] for event in events] == list(range(1, len(events) + 1))
+        cells = [event for event in events if event["type"] == "cell"]
+        kinds = [event["type"] for event in events]
+        assert kinds == ["started"] + ["cell"] * 6 + ["done"]
+        assert [event["done"] for event in cells] == list(range(1, 7))
+        return cells
+
+    assert {event["source"] for event in run_job()} == {"simulated"}
+    # A state change answers a poll at once, so the window only bounds how
+    # long cell events gather.  Widened here so that a slow host cannot split
+    # the warm job's burst; the daemon's own window is a tenth of a second.
+    monkeypatch.setattr(server_module, "EVENT_BATCH_WINDOW", 30.0)
+    began = time.monotonic()
+    assert {event["source"] for event in run_job()} == {"cached"}
+    assert time.monotonic() - began < 10.0
+    assert 1 <= len(polls) <= 2
+
+
+def test_a_poll_on_a_held_job_is_answered_within_the_window(tmp_path, monkeypatch):
+    """A state change answers a poll at once, and a cell held mid-run does not
+    hold back the events before it: a pending poll answers one batching
+    window after the first of them lands."""
+    import repro.service.server as server_module
+    import repro.simulation.engine as engine_module
+
+    gates = [threading.Event(), threading.Event()]
+    calls = []
+    real_execute = engine_module.execute_cell_payload
+
+    def gated_execute(payload):
+        calls.append(payload)
+        gates[len(calls) - 1].wait(30)
+        return real_execute(payload)
+
+    monkeypatch.setattr(engine_module, "execute_cell_payload", gated_execute)
+    doc = {
+        "kind": "sweep",
+        "spec": {"workloads": ["mcf"], "variants": ["ooo", "pre"], "num_uops": 200},
+    }
+    handle = ServiceThread(state_dir=tmp_path / "state")
+    try:
+        client = ServiceClient(handle.base_url)
+        job_id = client.submit(doc)["id"]
+        monkeypatch.setattr(server_module, "EVENT_BATCH_WINDOW", 30.0)
+        began = time.monotonic()
+        first = client.events(job_id, after=0, timeout=25.0)
+        assert time.monotonic() - began < 10.0  # not held for the window
+        assert [event["type"] for event in first["events"]] == ["started"]
+        monkeypatch.setattr(server_module, "EVENT_BATCH_WINDOW", EVENT_BATCH_WINDOW)
+        polled = {}
+
+        def poll():
+            polled["chunk"] = client.events(job_id, after=first["next"], timeout=25.0)
+            polled["at"] = time.monotonic()
+
+        poller = threading.Thread(target=poll, daemon=True)
+        poller.start()
+        job = handle.service.jobs[job_id]
+        for _ in range(500):
+            if job.waiters:
+                break
+            time.sleep(0.01)
+        assert job.waiters, "the long-poll never reached the daemon"
+        released = time.monotonic()
+        gates[0].set()
+        poller.join(timeout=10.0)
+        assert not poller.is_alive(), "the long-poll was never answered"
+        assert EVENT_BATCH_WINDOW * 0.9 <= polled["at"] - released < 5.0
+        assert polled["chunk"]["state"] == "running"
+        assert [
+            (event["seq"], event["type"], event["done"], event["source"])
+            for event in polled["chunk"]["events"]
+        ] == [(2, "cell", 1, "simulated")]
+        gates[1].set()
+        final, _ = wait_for(client, job_id)
+        assert final["state"] == "done"
+    finally:
+        for gate in gates:
+            gate.set()
+        handle.stop()
+
+
+def test_journal_and_result_writes_stay_off_the_event_loop(tmp_path, monkeypatch):
+    import repro.service.server as server_module
+    import repro.simulation.engine as engine_module
+
+    writes = []
+    real_append = JobJournal.append
+    real_write = server_module.write_json_text
+
+    def recording_append(self, event):
+        writes.append((event["event"], threading.get_ident()))
+        real_append(self, event)
+
+    def recording_write(path, text):
+        writes.append(("result", threading.get_ident()))
+        real_write(path, text)
+
+    monkeypatch.setattr(JobJournal, "append", recording_append)
+    monkeypatch.setattr(server_module, "write_json_text", recording_write)
+    handle = ServiceThread(state_dir=tmp_path / "state")
+    try:
+        client = ServiceClient(handle.base_url)
+        assert wait_for(client, client.submit(SWEEP_DOC)["id"])[0]["state"] == "done"
+
+        def boom(payload):
+            raise RuntimeError("simulated core meltdown")
+
+        monkeypatch.setattr(engine_module, "execute_cell_payload", boom)
+        doc = {"kind": "sweep", "spec": dict(SWEEP_DOC["spec"], num_uops=300)}
+        assert wait_for(client, client.submit(doc)["id"])[0]["state"] == "failed"
+        loop_thread = handle._thread.ident
+    finally:
+        handle.stop()
+    assert {"submitted", "started", "finished", "result", "failed"} <= {
+        kind for kind, _ in writes
+    }
+    assert [kind for kind, thread in writes if thread == loop_thread] == []
 
 
 def test_named_study_document_and_resubmit_dedupe(service):
