@@ -23,7 +23,8 @@ itself and handing the rest to one executor call:
 
 Workloads are referenced *by name* through
 :data:`repro.registry.WORKLOAD_REGISTRY` (worker processes rebuild the trace
-locally rather than unpickling megabytes of micro-ops), and variants through
+locally rather than unpickling megabytes of micro-ops, and reuse the previous
+cell's trace when it is the same workload and length), and variants through
 :data:`repro.registry.VARIANT_REGISTRY`; anything registered with
 ``@register_workload`` / ``@register_variant`` can be swept.  Any in-process
 :class:`~repro.workloads.trace.TraceSource` (an in-memory
@@ -46,7 +47,7 @@ import repro.workloads  # noqa: F401  (imported for its workload registrations)
 from repro.errors import JobCancelled
 from repro.memory.hierarchy import HierarchyConfig
 from repro.registry import PROBE_REGISTRY, VARIANT_REGISTRY, WORKLOAD_REGISTRY, build_workload
-from repro.serde import JSONSerializable, canonical_json, write_json
+from repro.serde import JSONSerializable, to_jsonable, write_json
 from repro.simulation.experiment import BenchmarkResult, ComparisonResult
 from repro.simulation.multicore import MultiCoreSpec, run_multicore
 from repro.simulation.simulator import (
@@ -415,20 +416,25 @@ def job_cache_key(payload: Dict[str, Any]) -> str:
         # primary workload does.
         "multicore": payload.get("multicore"),
     }
-    return hashlib.sha256(canonical_json(descriptor).encode()).hexdigest()
+    # Every part is already plain JSON (configs and specs come from
+    # ``to_dict``, tokens from :func:`_workload_token`), so this is the text
+    # ``canonical_json`` would give without lowering it a second time.
+    text = json.dumps(descriptor, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _workload_token(entry: Any) -> Any:
-    """Cache-token for a registered workload.
+    """Cache-token for a registered workload, as plain JSON.
 
-    An explicit ``cache_token`` in the registry metadata wins.  Otherwise a
+    An explicit ``cache_token`` in the registry metadata wins, lowered by
+    :func:`~repro.serde.to_jsonable` (it may be any value).  Otherwise a
     best-effort digest of the factory's code object and defaults is derived,
     so editing a custom workload's generator invalidates its cached cells
     instead of silently serving stale results.
     """
     token = entry.metadata.get("cache_token")
     if token is not None:
-        return token
+        return to_jsonable(token)
     factory = entry.factory
     func = getattr(factory, "__func__", factory)  # unwrap bound methods
     code = getattr(func, "__code__", None)
@@ -463,6 +469,38 @@ def _multicore_payload(spec: MultiCoreSpec) -> Dict[str, Any]:
     return {"spec": spec.to_dict(), "tokens": tokens}
 
 
+#: The registry-built traces of the last cell this process ran, as
+#: ``(registry entry, num_uops, trace)``: the primary first, then any
+#: co-runners.  Rebound per cell, never mutated, so a thread racing another
+#: can at worst rebuild; :meth:`ExperimentEngine.execute`'s serial loop drops
+#: it when it returns.
+_last_cell_traces: Tuple[Tuple[Any, Optional[int], Trace], ...] = ()
+
+
+def _cell_traces(wanted: Sequence[Tuple[str, Optional[int]]]) -> List[Trace]:
+    """The ``(workload name, num_uops)`` traces of one cell, in order.
+
+    A trace the previous cell ran is reused when its registry entry (the
+    same object, so a re-registered name never matches) and length match;
+    anything else is built.  Sweeps and studies expand workload-major, so a
+    worker builds each workload once per run of cells instead of once per
+    variant.  Traces are read-only to the simulator, so sharing is safe.
+    """
+    global _last_cell_traces
+    kept = _last_cell_traces
+    ran = []
+    for name, num_uops in wanted:
+        entry = WORKLOAD_REGISTRY.get(name)
+        for held, held_uops, trace in kept:
+            if held is entry and held_uops == num_uops:
+                break
+        else:
+            trace = build_workload(name, num_uops=num_uops)
+        ran.append((entry, num_uops, trace))
+    _last_cell_traces = tuple(ran)
+    return [trace for _, _, trace in ran]
+
+
 def execute_cell_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Run one expanded job payload; returns a JSON-able result.
 
@@ -472,10 +510,22 @@ def execute_cell_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     what makes them equivalent by construction.  A payload sent over the wire
     must be JSON-shaped (``trace`` is ``None``; sources are ``workload``/
     ``file`` descriptors), which every service-submitted document guarantees.
+    Registry-built traces come from :func:`_cell_traces`, which reuses the
+    previous cell's.
     """
     source = payload["source"]
+    multicore = payload.get("multicore")
+    spec = MultiCoreSpec.from_dict(multicore["spec"]) if multicore is not None else None
+    primary_uops = source.get("num_uops")
+    wanted = [(source["name"], primary_uops)] if source["kind"] == "workload" else []
+    if spec is not None:
+        wanted.extend(
+            (core.workload, primary_uops if core.num_uops is None else core.num_uops)
+            for core in spec.cores
+        )
+    traces = _cell_traces(wanted)
     if source["kind"] == "workload":
-        trace = build_workload(source["name"], num_uops=source.get("num_uops"))
+        trace = traces.pop(0)
     elif source["kind"] == "file":
         # Rebuilt locally so worker processes stream the file instead of
         # unpickling megabytes of micro-ops.
@@ -486,21 +536,11 @@ def execute_cell_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     hierarchy_config = (
         HierarchyConfig.from_dict(payload["hierarchy"]) if payload["hierarchy"] else None
     )
-    multicore = payload.get("multicore")
-    if multicore is not None:
-        spec = MultiCoreSpec.from_dict(multicore["spec"])
-        primary_uops = source.get("num_uops")
+    if spec is not None:
         pairs = [(trace, payload["variant"])]
-        for assignment in spec.cores:
-            num_uops = (
-                assignment.num_uops
-                if assignment.num_uops is not None
-                else primary_uops
-            )
-            pairs.append(
-                (build_workload(assignment.workload, num_uops=num_uops),
-                 assignment.variant)
-            )
+        pairs.extend(
+            (co_trace, core.variant) for co_trace, core in zip(traces, spec.cores)
+        )
         result = run_multicore(
             pairs,
             config=config,
@@ -958,8 +998,11 @@ class ExperimentEngine:
         and worker processes terminated before the exception propagates — a
         Ctrl-C no longer tracebacks out of ``ProcessPoolExecutor``'s shutdown
         machinery with workers leaked.  No cache or accounting happens here
-        (see :meth:`run_jobs`).
+        (see :meth:`run_jobs`).  Each process reuses its previous cell's
+        traces (:func:`_cell_traces`): a pool worker keeps them until its next
+        cell, and the serial loop lets them go when it returns.
         """
+        global _last_cell_traces
         batches = self._batch_payloads(payloads)
         delivered = 0
         if self.workers > 1 and len(batches) > 1:
@@ -994,10 +1037,13 @@ class ExperimentEngine:
                     pool.shutdown(wait=False, cancel_futures=True)
         # Serial path, also the pool's fallback: skip results a partially
         # successful pool run already delivered (they are cached/recorded).
-        for offset, payload in enumerate(payloads):
-            if offset < delivered:
-                continue
-            on_result(offset, execute_cell_payload(payload))
+        try:
+            for offset, payload in enumerate(payloads):
+                if offset < delivered:
+                    continue
+                on_result(offset, execute_cell_payload(payload))
+        finally:
+            _last_cell_traces = ()
 
     @staticmethod
     def _abort_pool(pool: Optional[ProcessPoolExecutor], futures: List[Any]) -> None:

@@ -14,9 +14,12 @@ Four contracts:
 * **key stability**: ``job_cache_key`` is a pure function of the schema-v4
   descriptor fields — property-tested (hypothesis) for determinism,
   insensitivity to dict ordering, and sensitivity to every field the v4
-  schema added (probes, window, warmup).
+  schema added (probes, window, warmup) — and equals the SHA-256 of the
+  descriptor's ``canonical_json`` for every kind of payload.
 """
 
+import enum
+import hashlib
 import json
 import os
 import threading
@@ -25,14 +28,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.__main__ import main
+from repro.registry import WORKLOAD_REGISTRY, register_workload
+from repro.serde import canonical_json
 from repro.simulation.engine import (
+    CACHE_SCHEMA_VERSION,
     CacheStats,
     ExperimentEngine,
+    JobSpec,
     PruneResult,
     ResultCache,
     SweepSpec,
+    _workload_token,
     job_cache_key,
+    sweep_jobs,
 )
+from repro.simulation.multicore import CoreAssignment, MultiCoreSpec
+from repro.workloads.generators import compute_kernel
+from repro.workloads.source import FileTraceSource, write_trace_file
+from repro.workloads.spec_surrogates import build_surrogate
 
 
 def put_sized(cache, key, approx_bytes):
@@ -290,3 +303,85 @@ def test_job_cache_key_ignores_dict_ordering(descriptor):
     payload = _payload(*descriptor)
     reordered = dict(reversed(list(payload.items())))
     assert job_cache_key(payload) == job_cache_key(reordered)
+
+
+class _Shade(enum.Enum):
+    DARK = "dark"
+
+
+def _registered_token(name):
+    """A workload's token as registered, before any lowering."""
+    entry = WORKLOAD_REGISTRY.get(name)
+    token = entry.metadata.get("cache_token")
+    return _workload_token(entry) if token is None else token
+
+
+def _reference_key(payload):
+    """The key as defined: SHA-256 of the descriptor's ``canonical_json``."""
+    source = dict(payload["source"])
+    if source["kind"] == "workload":
+        source["token"] = _registered_token(source["name"])
+    if source["kind"] == "file":
+        source = {"kind": "file", "digest": source["digest"], "name": source["name"]}
+    multicore = payload["multicore"]
+    if multicore is not None:
+        multicore = {
+            "spec": multicore["spec"],
+            "tokens": [
+                _registered_token(core["workload"]) for core in multicore["spec"]["cores"]
+            ],
+        }
+    descriptor = {
+        "schema": CACHE_SCHEMA_VERSION,
+        "variant": payload["variant"],
+        "source": source,
+        "config": payload["config"],
+        "hierarchy": payload["hierarchy"],
+        "max_cycles": payload["max_cycles"],
+        "probes": payload["probes"],
+        "window": payload["window"],
+        "warmup_uops": payload["warmup_uops"],
+        "multicore": multicore,
+    }
+    return hashlib.sha256(canonical_json(descriptor).encode()).hexdigest()
+
+
+def test_job_cache_key_is_the_canonical_json_digest_of_every_payload_kind(tmp_path):
+    # A token json.dumps cannot take as is: non-str keys of mixed types, a
+    # tuple and an enum.  Lowered once, it hashes as canonical_json would.
+    register_workload(
+        "test_odd_token",
+        cache_token={True: ("x", 1), 2: [None, 1.5], "k": {"shade": _Shade.DARK}},
+    )(compute_kernel)
+    try:
+        engine = ExperimentEngine(workers=1, cache_dir=tmp_path / "cache")
+        trace = build_surrogate("milc", num_uops=600)
+        path = tmp_path / "milc.trc"
+        write_trace_file(path, trace)
+        recorded = FileTraceSource(path)
+        co_runners = MultiCoreSpec(
+            cores=[
+                CoreAssignment(workload="mcf", variant="ooo", num_uops=200),
+                CoreAssignment(workload="test_odd_token"),
+            ]
+        )
+        jobs = sweep_jobs(SweepSpec(workloads=["mcf", "milc"], num_uops=1500), engine)
+        jobs += [
+            JobSpec(trace=trace, variant="pre"),
+            JobSpec(trace=recorded, variant="ooo"),
+            JobSpec(trace=recorded, variant="pre", window=(200, 400), warmup_uops=100),
+            JobSpec(workload="milc", num_uops=500, multicore=co_runners),
+            JobSpec(workload="mcf", num_uops=500, probes=["stall_breakdown"]),
+            JobSpec(
+                workload="mcf",
+                num_uops=500,
+                config=engine.config.with_overrides(rob_size=64),
+            ),
+            JobSpec(workload="test_odd_token", variant="ooo", num_uops=300),
+        ]
+        payloads = engine.expand_job_payloads(jobs)
+        for payload in payloads:
+            assert job_cache_key(payload) == _reference_key(payload)
+        assert len({job_cache_key(payload) for payload in payloads}) == len(payloads)
+    finally:
+        WORKLOAD_REGISTRY.unregister("test_odd_token")

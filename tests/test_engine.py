@@ -1,6 +1,12 @@
 """Experiment engine: sweeps, caching, parallel/serial equivalence, CLI."""
 
+import gc
 import json
+import os
+import sys
+import threading
+import weakref
+from collections import Counter
 
 import pytest
 
@@ -13,9 +19,12 @@ from repro.simulation.engine import (
     ResultCache,
     SweepResult,
     SweepSpec,
+    execute_cell_payload,
     sweep_jobs,
 )
 from repro.simulation.experiment import ComparisonResult, run_comparison
+from repro.simulation.multicore import CoreAssignment, MultiCoreSpec
+from repro.simulation.simulator import SimulationRequest, run_simulation
 from repro.workloads.generators import compute_kernel
 from repro.workloads.spec_surrogates import build_surrogate
 
@@ -171,6 +180,109 @@ class TestLocalExecutor:
             engine.execute(payloads, on_result)
         assert len(pools) == 1  # the pool ran, and the first result aborted it
         assert delivered == [0]
+
+
+@pytest.fixture
+def counted_workload(tmp_path):
+    """Register ``test_counted``, whose every build appends its process id to
+    a log; yields the log and weak references to the traces built here."""
+    log = tmp_path / "builds.log"
+    built = []
+
+    @register_workload("test_counted", description="test only", replace=True)
+    def _build(num_uops=400):
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(f"{os.getpid()}\n")
+        trace = compute_kernel(num_uops=num_uops)
+        built.append(weakref.ref(trace))
+        return trace
+
+    yield log, built
+    WORKLOAD_REGISTRY.unregister("test_counted")
+
+
+class TestTraceReuse:
+    """A process reuses its previous cell's traces instead of rebuilding them."""
+
+    VARIANTS = ["ooo", "runahead", "runahead_buffer", "pre", "pre_emq"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("co_runner", [False, True])
+    def test_each_process_builds_a_workload_once(self, counted_workload, workers, co_runner):
+        log, _ = counted_workload
+        if co_runner:
+            spec = SweepSpec(
+                workloads=["milc"],
+                variants=self.VARIANTS,
+                num_uops=300,
+                multicore=MultiCoreSpec(
+                    cores=[CoreAssignment(workload="test_counted", num_uops=200)]
+                ),
+            )
+        else:
+            spec = SweepSpec(workloads=["test_counted"], variants=self.VARIANTS, num_uops=300)
+        ExperimentEngine(workers=workers).run_sweep(spec)
+        per_process = Counter(log.read_text(encoding="utf-8").split())
+        assert 1 <= len(per_process) <= workers
+        assert set(per_process.values()) == {1}
+
+    def test_a_re_registered_workload_is_rebuilt(self, counted_workload, monkeypatch):
+        monkeypatch.setattr(engine_module, "_last_cell_traces", ())
+        engine = ExperimentEngine(workers=1)
+        [payload] = engine.expand_job_payloads(
+            [JobSpec(workload="test_counted", variant="ooo", num_uops=300)]
+        )
+        first = execute_cell_payload(payload)
+
+        @register_workload("test_counted", description="test only", replace=True)
+        def _rebuild(num_uops=400):
+            return build_surrogate("mcf", num_uops=num_uops)
+
+        second = execute_cell_payload(payload)
+        expected = run_simulation(
+            build_surrogate("mcf", num_uops=300), SimulationRequest(variant="ooo")
+        ).to_dict()
+        assert second == expected != first
+
+    def test_threads_running_cells_at_once_get_their_own_traces(self, monkeypatch):
+        # More threads than cores, switching as often as the interpreter
+        # allows: a racing thread may rebuild, but never runs another's trace.
+        monkeypatch.setattr(engine_module, "_last_cell_traces", ())
+        engine = ExperimentEngine(workers=1)
+        spec = SweepSpec(
+            workloads=["milc", "mcf", "lbm", "libquantum"], variants=["ooo"], num_uops=300
+        )
+        payloads = engine.expand_job_payloads(sweep_jobs(spec, engine))
+        expected = [execute_cell_payload(payload) for payload in payloads]
+        results = {index: [] for index in range(len(payloads))}
+
+        def run(index):
+            for _ in range(3):
+                results[index].append(execute_cell_payload(payloads[index]))
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in results]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for index, result in enumerate(expected):
+            assert results[index] == [result] * 3
+
+    def test_serial_loop_lets_its_traces_go(self, counted_workload):
+        _, built = counted_workload
+        ExperimentEngine(workers=1).run_jobs(
+            [JobSpec(workload="test_counted", variant=v, num_uops=300)
+             for v in ("ooo", "pre")]
+        )
+        gc.collect()  # cores and controllers reference each other
+        assert len(built) == 1
+        assert built[0]() is None
 
 
 class TestResultCache:

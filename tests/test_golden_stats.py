@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.registry import build_workload, build_workload_source
+from repro.simulation.engine import ExperimentEngine, SweepSpec
 from repro.simulation.golden import (
     DEFAULT_GOLDEN_PATH,
     cell_key,
@@ -67,6 +68,23 @@ class TestGoldenDigests:
         assert mismatches == [], "timing diverged from committed goldens:\n" + "\n".join(
             mismatches
         )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_engine_sweep_on_reused_traces_is_bit_identical(self, goldens, workers):
+        """A workload-named sweep runs all five variants of a workload on the
+        trace its process built once, RA-buffer's whole-trace oracle included,
+        and still reproduces every golden digest."""
+        spec = SweepSpec(
+            workloads=["mcf", "bwaves"],
+            variants=list(goldens["variants"]),
+            num_uops=goldens["num_uops"],
+        )
+        comparison = ExperimentEngine(workers=workers).run_sweep(spec).comparison
+        for bench in comparison.benchmarks:
+            for variant, result in bench.results.items():
+                golden = goldens["cells"][cell_key(bench.benchmark, variant)]
+                digest = stats_digest(result.stats)
+                assert digest == golden["digest"], (bench.benchmark, variant)
 
     def test_digest_is_sensitive_to_any_counter(self):
         stats = CoreStats()
