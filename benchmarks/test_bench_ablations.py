@@ -9,15 +9,14 @@ and the EMQ bounds how deep PRE+EMQ can run ahead (Section 3.3).
 import pytest
 
 from repro.core.pre import PreciseRunaheadController
+from repro.uarch.config import CoreConfig
 from repro.uarch.core import OoOCore
 from repro.workloads.spec_surrogates import build_surrogate
 
 
-def _run_pre(trace, use_emq=False, sst_entries=None, emq_entries=None):
-    controller = PreciseRunaheadController(
-        use_emq=use_emq, sst_entries=sst_entries, emq_entries=emq_entries
-    )
-    core = OoOCore(trace, controller=controller)
+def _run_pre(trace, config, use_emq=False):
+    controller = PreciseRunaheadController(use_emq=use_emq)
+    core = OoOCore(trace, config=config, controller=controller)
     stats = core.run()
     return stats, controller
 
@@ -29,7 +28,7 @@ def test_bench_ablation_sst_size(benchmark):
     def sweep():
         results = {}
         for entries in (4, 16, 64, 256):
-            stats, controller = _run_pre(trace, sst_entries=entries)
+            stats, controller = _run_pre(trace, CoreConfig(sst_entries=entries))
             results[entries] = {
                 "cycles": stats.cycles,
                 "prefetches": stats.runahead_prefetches,
@@ -54,7 +53,7 @@ def test_bench_ablation_emq_size(benchmark):
     def sweep():
         results = {}
         for entries in (96, 192, 768, 1536):
-            stats, _ = _run_pre(trace, use_emq=True, emq_entries=entries)
+            stats, _ = _run_pre(trace, CoreConfig(emq_entries=entries), use_emq=True)
             results[entries] = {
                 "cycles": stats.cycles,
                 "prefetches": stats.runahead_prefetches,
@@ -82,8 +81,8 @@ def test_bench_ablation_runahead_entry_threshold(benchmark):
     def sweep():
         results = {}
         for threshold in (0, 56, 200):
-            controller = TraditionalRunaheadController(minimum_interval=threshold)
-            stats = OoOCore(trace, controller=controller).run()
+            config = CoreConfig(runahead_minimum_interval=threshold)
+            stats = OoOCore(trace, config=config, controller=TraditionalRunaheadController()).run()
             results[threshold] = {
                 "cycles": stats.cycles,
                 "invocations": stats.runahead_invocations,

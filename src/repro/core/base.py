@@ -19,6 +19,12 @@ controller at well-defined points:
 
 The base class implements the "no runahead" behaviour so the baseline core can
 also be expressed as ``OoOCore(trace)`` with no controller at all.
+
+A controller reads every structure size and threshold from ``core.config``,
+so a run's :class:`~repro.uarch.config.CoreConfig` describes the structures
+the energy model sizes.  It reads the trace only through the front end's
+cursor (``core.frontend.cursor``), so every variant streams any source at the
+memory its own look-ahead needs.
 """
 
 from __future__ import annotations
@@ -37,20 +43,11 @@ class RunaheadController:
     #: Human-readable variant name used in reports.
     name = "ooo"
 
-    #: Whether the ROB pseudo-retires (drains without architectural effect)
-    #: while in runahead mode — true for traditional runahead.
+    #: What commit does in runahead mode.  True: the ROB pseudo-retires
+    #: (drains without architectural effect), as in traditional runahead.
+    #: False: commit stops, as in PRE (Section 3.1) and the runahead buffer;
+    #: the ROB head is the stalling load, which cannot commit until it returns.
     pseudo_retire_in_runahead = False
-
-    #: Whether normal commit continues in runahead mode.  PRE stops commit
-    #: (Section 3.1); it is moot in practice because the ROB head is the
-    #: stalling load, which cannot commit until it returns.
-    commit_in_runahead = True
-
-    #: Whether the controller needs random access over the *whole* trace (an
-    #: oracle of future dynamic instances, e.g. the runahead buffer's replay
-    #: index).  Streaming sources are materialised for such controllers; all
-    #: others run at O(window) memory on any :class:`TraceSource`.
-    requires_trace_oracle = False
 
     def __init__(self) -> None:
         self.core: Optional["OoOCore"] = None

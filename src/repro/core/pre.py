@@ -40,22 +40,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class PreciseRunaheadController(RunaheadController):
     """PRE, optionally with the Extended Micro-op Queue (PRE+EMQ)."""
 
-    pseudo_retire_in_runahead = False
-    commit_in_runahead = False
-
-    def __init__(
-        self,
-        use_emq: bool = False,
-        sst_entries: Optional[int] = None,
-        prdq_entries: Optional[int] = None,
-        emq_entries: Optional[int] = None,
-    ) -> None:
+    def __init__(self, use_emq: bool = False) -> None:
         super().__init__()
         self.use_emq = use_emq
         self.name = "pre_emq" if use_emq else "pre"
-        self._sst_entries = sst_entries
-        self._prdq_entries = prdq_entries
-        self._emq_entries = emq_entries
         self.sst: Optional[StallingSliceTable] = None
         self.prdq: Optional[PreciseRegisterDeallocationQueue] = None
         self.emq: Optional[ExtendedMicroOpQueue] = None
@@ -71,15 +59,10 @@ class PreciseRunaheadController(RunaheadController):
 
     def attach(self, core) -> None:
         super().attach(core)
-        self.sst = StallingSliceTable(self._sst_entries or core.config.sst_entries)
-        self.prdq = PreciseRegisterDeallocationQueue(
-            self._prdq_entries or core.config.prdq_entries
-        )
-        self.emq = (
-            ExtendedMicroOpQueue(self._emq_entries or core.config.emq_entries)
-            if self.use_emq
-            else None
-        )
+        config = core.config
+        self.sst = StallingSliceTable(config.sst_entries)
+        self.prdq = PreciseRegisterDeallocationQueue(config.prdq_entries)
+        self.emq = ExtendedMicroOpQueue(config.emq_entries) if self.use_emq else None
 
     # ---------------------------------------------------------- SST learning
 

@@ -15,6 +15,11 @@ Sections 2.2 and 5 of the paper:
   restored, and fetch restarts at the stalling load — the flush/refill
   overhead (~56 cycles for a 192-entry ROB, Section 2.4) emerges naturally
   from the model as the front-end and window refill.
+
+The entry filter, the flush at exit and the poison rule are shared with the
+runahead buffer (:mod:`repro.core.runahead_buffer`), which differs only in
+what an interval does: :meth:`_begin_interval` and :meth:`_end_interval` are
+its hooks.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ class TraditionalRunaheadController(RunaheadController):
 
     name = "runahead"
     pseudo_retire_in_runahead = True
-    commit_in_runahead = True
 
     #: Consecutive useless (no-prefetch) intervals after which runahead entry
     #: is throttled, following the "useless period elimination" optimisation
@@ -43,22 +47,13 @@ class TraditionalRunaheadController(RunaheadController):
     #: While throttled, only one stall in this many re-samples runahead mode.
     THROTTLE_SAMPLE_PERIOD = 16
 
-    def __init__(self, minimum_interval: Optional[int] = None) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self._minimum_interval = minimum_interval
         self._stalling_load: Optional["DynInstr"] = None
-        self._restart_index: Optional[int] = None
         #: Prefetches issued in the current interval, for the useless-streak throttle.
         self._interval_prefetches = 0
         self._useless_streak = 0
         self._throttled_stalls = 0
-
-    # ------------------------------------------------------------- lifecycle
-
-    def attach(self, core) -> None:
-        super().attach(core)
-        if self._minimum_interval is None:
-            self._minimum_interval = core.config.runahead_minimum_interval
 
     # ------------------------------------------------------------------ entry
 
@@ -67,7 +62,7 @@ class TraditionalRunaheadController(RunaheadController):
         if core is None or core.mode == ExecutionMode.RUNAHEAD:
             return
         remaining = (head.completion_cycle or cycle) - cycle
-        if remaining < (self._minimum_interval or 0):
+        if remaining < core.config.runahead_minimum_interval:
             core.stats.runahead_entries_skipped_short += 1
             return
         if self._useless_streak >= self.USELESS_STREAK_LIMIT:
@@ -78,10 +73,15 @@ class TraditionalRunaheadController(RunaheadController):
             if self._throttled_stalls % self.THROTTLE_SAMPLE_PERIOD != 0:
                 core.stats.runahead_entries_skipped_short += 1
                 return
+        if not self._begin_interval(head, cycle):
+            return
         core.enter_runahead(cycle)
         self._interval_prefetches = 0
         self._stalling_load = head
-        self._restart_index = head.seq
+
+    def _begin_interval(self, head: "DynInstr", cycle: int) -> bool:
+        """Prepare an interval that passed the entry filter; ``False`` declines it."""
+        return True
 
     # ------------------------------------------------------------------- exit
 
@@ -91,8 +91,8 @@ class TraditionalRunaheadController(RunaheadController):
             return
         if instr is not self._stalling_load:
             return
-        restart = self._restart_index if self._restart_index is not None else instr.seq
-        core.flush_pipeline(restart)
+        self._end_interval()
+        core.flush_pipeline(instr.seq)
         core.exit_runahead(cycle)
         if self._interval_prefetches < 2:
             self._useless_streak += 1
@@ -100,7 +100,9 @@ class TraditionalRunaheadController(RunaheadController):
             self._useless_streak = 0
             self._throttled_stalls = 0
         self._stalling_load = None
-        self._restart_index = None
+
+    def _end_interval(self) -> None:
+        """Undo :meth:`_begin_interval` before the flush restarts fetch."""
 
     # --------------------------------------------------------------- dispatch
 

@@ -12,6 +12,12 @@ Models the proposal of Hashemi et al. [4] as described in Section 2.3:
 * when the stalling load returns the pipeline is flushed and normal execution
   restarts at the stalling load, exactly as in traditional runahead.
 
+The controller is traditional runahead (:mod:`repro.core.runahead`) with a
+different interval: the entry filter, the flush at exit and the poison rule
+are RA's.  Each replay iteration reads the stalling load's next instance
+forward through the front end's trace cursor, from just past the stalled
+window, so the cursor buffers a streaming source only up to the replay's reach.
+
 Because the chain tracks a single static load, prefetch coverage is limited to
 that one slice per runahead interval — the coverage limitation PRE removes.
 
@@ -23,14 +29,12 @@ the INV-propagation behaviour of the hardware proposal.
 
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from repro.core.base import RunaheadController
+from repro.core.runahead import TraditionalRunaheadController
 from repro.uarch.core import ExecutionMode
-from repro.uarch.isa import execution_latency
-from repro.workloads.trace import MicroOp, UopClass
+from repro.workloads.trace import MicroOp
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.uarch.core import DynInstr
@@ -62,118 +66,59 @@ class RunaheadBufferStats:
     total_chain_length: int = 0
 
 
-class RunaheadBufferController(RunaheadController):
+class RunaheadBufferController(TraditionalRunaheadController):
     """Runahead buffer: replay a single stalling slice per runahead interval."""
 
     name = "runahead_buffer"
     pseudo_retire_in_runahead = False
-    commit_in_runahead = False
-    #: The replay loop prefetches *future* dynamic instances of the stalling
-    #: load by indexing the whole trace; streaming sources are materialised
-    #: for this controller (see :class:`repro.uarch.core.OoOCore`).
-    requires_trace_oracle = True
-
-    #: Consecutive useless (no-prefetch) intervals after which runahead entry
-    #: is throttled ("useless period elimination", Mutlu et al. [6]).
-    USELESS_STREAK_LIMIT = 3
-    #: While throttled, only one stall in this many re-samples runahead mode.
-    THROTTLE_SAMPLE_PERIOD = 16
-
-    def __init__(
-        self,
-        max_chain_length: Optional[int] = None,
-        minimum_interval: Optional[int] = None,
-    ) -> None:
-        super().__init__()
-        self._max_chain_length = max_chain_length
-        self._minimum_interval = minimum_interval
-        self._useless_streak = 0
-        self._throttled_stalls = 0
-        self.buffer_stats = RunaheadBufferStats()
-        self._stalling_load: Optional["DynInstr"] = None
-        self._restart_index: Optional[int] = None
-        #: Prefetches issued in the current interval, for the useless-streak throttle.
-        self._interval_prefetches = 0
-        self._chain: Optional[DependencyChain] = None
-        self._next_replay_cycle = 0
-        self._prefetch_seqs: List[int] = []
-        self._prefetch_pointer = 0
-        self._pc_index: Dict[int, List[int]] = {}
-
-    # ------------------------------------------------------------ properties
 
     #: Bytes of runahead-buffer storage per chain micro-op (pc + class + regs).
     BYTES_PER_CHAIN_UOP = 8
-    #: Chain length assumed before :meth:`attach` provides the core's config.
-    DEFAULT_MAX_CHAIN_LENGTH = 32
     #: Smallest SRAM macro the energy model will instantiate for the buffer.
     MIN_STORAGE_BYTES = 64
 
-    @property
-    def max_chain_length(self) -> int:
-        """Maximum dependence-chain length the buffer stores."""
-        return self._max_chain_length or self.DEFAULT_MAX_CHAIN_LENGTH
+    def __init__(self) -> None:
+        super().__init__()
+        self.buffer_stats = RunaheadBufferStats()
+        self._chain: Optional[DependencyChain] = None
+        self._next_replay_cycle = 0
+        #: Trace index of the stalling load's next dynamic instance, or of
+        #: the point the forward search for it has reached.
+        self._instance_seq = 0
 
     @property
     def storage_bytes(self) -> int:
         """SRAM capacity of the runahead buffer, as modelled for energy."""
-        return max(self.max_chain_length * self.BYTES_PER_CHAIN_UOP, self.MIN_STORAGE_BYTES)
-
-    # ------------------------------------------------------------- lifecycle
-
-    def attach(self, core) -> None:
-        super().attach(core)
-        if self._max_chain_length is None:
-            self._max_chain_length = core.config.runahead_buffer_chain_length
-        if self._minimum_interval is None:
-            self._minimum_interval = core.config.runahead_minimum_interval
-        self._pc_index = {}
-        for seq, uop in enumerate(core.trace):
-            if uop.is_load:
-                self._pc_index.setdefault(uop.pc, []).append(seq)
+        assert self.core is not None
+        chain_length = self.core.config.runahead_buffer_chain_length
+        return max(chain_length * self.BYTES_PER_CHAIN_UOP, self.MIN_STORAGE_BYTES)
 
     # ------------------------------------------------------------------ entry
 
-    def on_full_window_stall(self, head: "DynInstr", cycle: int) -> None:
+    def _begin_interval(self, head: "DynInstr", cycle: int) -> bool:
+        """Extract the stalling slice into the buffer and power-gate the front end.
+
+        Declines the interval when the ROB holds no second instance of the
+        stalling load to walk back from.
+        """
         core = self.core
-        if core is None or core.mode == ExecutionMode.RUNAHEAD:
-            return
-        remaining = (head.completion_cycle or cycle) - cycle
-        if remaining < (self._minimum_interval or 0):
-            core.stats.runahead_entries_skipped_short += 1
-            return
-        if self._useless_streak >= self.USELESS_STREAK_LIMIT:
-            # Recent replay loops produced no prefetches (e.g. the chain is
-            # self-dependent pointer chasing): throttle entry, re-sampling
-            # occasionally to detect phase changes.
-            self._throttled_stalls += 1
-            if self._throttled_stalls % self.THROTTLE_SAMPLE_PERIOD != 0:
-                core.stats.runahead_entries_skipped_short += 1
-                return
+        assert core is not None
         chain = self._extract_chain(head)
         if chain is None:
             self.buffer_stats.chain_walks_failed += 1
-            return
+            return False
         self.buffer_stats.chains_built += 1
         self.buffer_stats.total_chain_length += chain.length
         if chain.self_dependent:
             self.buffer_stats.self_dependent_chains += 1
         core.stats.events.runahead_buffer_writes += chain.length
-
-        core.enter_runahead(cycle)
-        self._interval_prefetches = 0
         core.frontend.power_gated = True
-        self._stalling_load = head
-        self._restart_index = head.seq
         self._chain = chain
         self._next_replay_cycle = cycle + 1
-
         # The replay loop prefetches dynamic instances of the stalling load
         # beyond the ones already inside the stalled window.
-        window_max_seq = max((instr.seq for instr in core.rob), default=head.seq)
-        instances = self._pc_index.get(head.uop.pc, [])
-        self._prefetch_seqs = instances
-        self._prefetch_pointer = bisect.bisect_right(instances, window_max_seq)
+        self._instance_seq = max(instr.seq for instr in core.rob) + 1
+        return True
 
     def _extract_chain(self, head: "DynInstr") -> Optional[DependencyChain]:
         """Backward data-flow walk in the ROB from a second instance of the stalling load."""
@@ -182,7 +127,7 @@ class RunaheadBufferController(RunaheadController):
         other = core.rob.find_other_instance(head.uop.pc, head.seq)
         if other is None:
             return None
-        max_length = self.max_chain_length
+        max_length = core.config.runahead_buffer_chain_length
         chain: List["DynInstr"] = [other]
         chain_pcs = {other.uop.pc}
         needed = set(other.uop.srcs)
@@ -261,23 +206,10 @@ class RunaheadBufferController(RunaheadController):
 
     # ------------------------------------------------------------------- exit
 
-    def on_complete(self, instr: "DynInstr", cycle: int) -> None:
+    def _end_interval(self) -> None:
         core = self.core
-        if core is None or core.mode != ExecutionMode.RUNAHEAD:
-            return
-        if instr is not self._stalling_load:
-            return
-        restart = self._restart_index if self._restart_index is not None else instr.seq
+        assert core is not None
         core.frontend.power_gated = False
-        core.flush_pipeline(restart)
-        core.exit_runahead(cycle)
-        if self._interval_prefetches < 2:
-            self._useless_streak += 1
-        else:
-            self._useless_streak = 0
-            self._throttled_stalls = 0
-        self._stalling_load = None
-        self._restart_index = None
         self._chain = None
 
     # ---------------------------------------------------------------- replay
@@ -304,16 +236,15 @@ class RunaheadBufferController(RunaheadController):
 
         if chain.self_dependent:
             return 1
-        if self._prefetch_pointer >= len(self._prefetch_seqs):
+        uop = self._next_instance(chain.root_pc)
+        if uop is None:
             return 1
         # Each replay iteration regenerates exactly one future dynamic instance
         # of the stalling load.  Instances whose line is already resident (for
         # example the next few elements of a unit-stride stream) simply hit in
         # the L1 and generate no prefetch; instances to new lines prefetch.
-        seq = self._prefetch_seqs[self._prefetch_pointer]
-        uop = core.trace[seq]
         if core.hierarchy.l1d.contains(uop.mem_addr):
-            self._prefetch_pointer += 1
+            self._instance_seq += 1
             return 1
         result = core.hierarchy.access_data(
             uop.mem_addr, cycle, is_write=False, is_prefetch=True, pc=uop.pc
@@ -321,19 +252,30 @@ class RunaheadBufferController(RunaheadController):
         if result.retried:
             # MSHRs full: retry the same instance on the next iteration.
             return 1
-        self._prefetch_pointer += 1
+        self._instance_seq += 1
         core.stats.runahead_prefetches += 1
         self._interval_prefetches += 1
         return 1
+
+    def _next_instance(self, pc: int) -> Optional[MicroOp]:
+        """The next load at ``pc`` from :attr:`_instance_seq` on (``None`` past the end).
+
+        The search position stays on the instance found, so a retried
+        prefetch finds it again at no cost.
+        """
+        core = self.core
+        assert core is not None
+        fetch = core.frontend.cursor.fetch
+        seq = self._instance_seq
+        uop = fetch(seq)
+        while uop is not None and not (uop.is_load and uop.pc == pc):
+            seq += 1
+            uop = fetch(seq)
+        self._instance_seq = seq
+        return uop
 
     def next_wake_cycle(self, cycle: int) -> Optional[int]:
         core = self.core
         if core is None or core.mode != ExecutionMode.RUNAHEAD or self._chain is None:
             return None
         return max(self._next_replay_cycle, cycle + 1)
-
-    # ---------------------------------------------------------------- queries
-
-    def treat_poison_as_ready(self, instr: "DynInstr") -> bool:
-        core = self.core
-        return core is not None and core.mode == ExecutionMode.RUNAHEAD

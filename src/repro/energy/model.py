@@ -54,13 +54,12 @@ class EnergyModel:
         hierarchy: PrivateHierarchy,
         config: CoreConfig,
         extra_sram: Optional[Dict[str, SRAMModel]] = None,
-        extra_sram_accesses: Optional[Dict[str, int]] = None,
     ) -> EnergyReport:
         """Compute the energy of one finished simulation run.
 
         ``extra_sram`` maps structure names (``"sst"``, ``"prdq"``, ``"emq"``,
-        ``"runahead_buffer"``) to their SRAM models; ``extra_sram_accesses``
-        maps the same names to total access counts.
+        ``"runahead_buffer"``) to their SRAM models; each is billed its read
+        energy per access counted in the run's events.
         """
         params = self.parameters
         events = stats.events
@@ -101,9 +100,7 @@ class EnergyModel:
             + hierarchy.dram.stats.writes * params.dram_write_pj
         ) / 1000.0
 
-        breakdown.runahead_structures_nj = self._runahead_structures_nj(
-            stats, extra_sram or {}, extra_sram_accesses or {}
-        )
+        breakdown.runahead_structures_nj = self._runahead_structures_nj(stats, extra_sram or {})
 
         seconds = stats.cycles / (config.frequency_ghz * 1e9)
         static_w = params.core_static_w + params.llc_static_w
@@ -119,20 +116,15 @@ class EnergyModel:
         )
 
     @staticmethod
-    def _runahead_structures_nj(
-        stats: CoreStats,
-        extra_sram: Dict[str, SRAMModel],
-        extra_accesses: Dict[str, int],
-    ) -> float:
+    def _runahead_structures_nj(stats: CoreStats, extra_sram: Dict[str, SRAMModel]) -> float:
         total_pj = 0.0
         events = stats.events
-        default_accesses = {
+        accesses = {
             "sst": events.sst_lookups + events.sst_inserts,
             "prdq": events.prdq_writes + events.prdq_deallocations,
             "emq": events.emq_writes + events.emq_reads,
             "runahead_buffer": events.runahead_buffer_reads + events.runahead_buffer_writes,
         }
         for name, model in extra_sram.items():
-            accesses = extra_accesses.get(name, default_accesses.get(name, 0))
-            total_pj += accesses * model.read_energy_pj
+            total_pj += accesses.get(name, 0) * model.read_energy_pj
         return total_pj / 1000.0

@@ -169,15 +169,7 @@ class OoOCore:
         probes: Iterable[Probe] = (),
     ) -> None:
         self.config = config or CoreConfig()
-        if controller is not None and controller.requires_trace_oracle:
-            # The runahead-buffer controller indexes future dynamic load
-            # instances (its replay oracle), which a forward-only stream
-            # cannot serve; read the stream into memory (a Trace is itself).
-            trace = trace.materialize()
         self.source = trace
-        #: Whole-trace random-access view when the run reads an in-memory
-        #: trace, as controllers with ``requires_trace_oracle`` always do.
-        self.trace: Optional[Trace] = trace if isinstance(trace, Trace) else None
         self.hierarchy = hierarchy or PrivateHierarchy()
         #: This core's identity on the shared uncore, mirrored from its
         #: memory port; probes receive the core object and can read it to
@@ -214,7 +206,7 @@ class OoOCore:
         self.committed_trace_uops = 0
         #: An in-memory trace's length, which is all :attr:`finished` needs;
         #: a streaming source's total is asked of its cursor instead.
-        self._trace_total = len(self.trace) if self.trace is not None else None
+        self._trace_total = len(trace) if isinstance(trace, Trace) else None
         self._events: List[Tuple[int, int, DynInstr]] = []
         self._event_counter = 0
         self._current_stall_seq: Optional[int] = None
@@ -461,8 +453,7 @@ class OoOCore:
         if controller is not None and self.mode == ExecutionMode.RUNAHEAD:
             if controller.pseudo_retire_in_runahead:
                 return self._pseudo_retire_commit()
-            if not controller.commit_in_runahead:
-                return 0
+            return 0
         self._store_commit_stalled = False
         entries = self.rob._entries
         if not entries or not entries[0].completed:
@@ -788,7 +779,7 @@ class OoOCore:
 
     # ------------------------------------------------------------------ flush
 
-    def flush_pipeline(self, restart_index: int, extra_frontend_penalty: int = 0) -> None:
+    def flush_pipeline(self, restart_index: int) -> None:
         """Discard all in-flight state and restart fetch at ``restart_index``.
 
         Used by the traditional-runahead and runahead-buffer controllers at
@@ -806,7 +797,7 @@ class OoOCore:
         self.rat.restore(self.retirement_rat.to_checkpoint())
         self.int_rf.rebuild(self.retirement_rat.live_physicals(fp=False))
         self.fp_rf.rebuild(self.retirement_rat.live_physicals(fp=True))
-        self.frontend.redirect(restart_index, self.cycle, extra_frontend_penalty)
+        self.frontend.redirect(restart_index, self.cycle)
         self.stats.pipeline_flushes += 1
 
     # ------------------------------------------------------------- wake logic

@@ -7,8 +7,9 @@ the rename stage dispatches.
 
 The stream is consumed through a :class:`~repro.workloads.trace.TraceSource`
 cursor: sequential reads pull micro-ops on demand, and pipeline flushes rewind
-to any not-yet-committed index (the cursor retains exactly that window, so
-streaming workloads run at O(window) memory).  An in-memory
+to any not-yet-committed index (the cursor retains that window, plus any
+micro-ops a controller read ahead of fetch, so streaming workloads run at
+O(window) memory).  An in-memory
 :class:`~repro.workloads.trace.Trace` is a source too and is read the same way.
 
 Because the simulator is trace-driven there is no wrong path: a mispredicted
@@ -22,7 +23,7 @@ buffer's front-end power gating both plug in through small hooks
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional
+from typing import Deque, Optional
 
 from repro.memory.port import InstructionPort
 from repro.uarch.branch import GShareBranchPredictor
@@ -227,21 +228,6 @@ class FrontEnd:
             return None
         return max(0, result.latency - port.latency)
 
-    # -------------------------------------------------------------- dispatch
-
-    def pop_uops(self, max_count: int, cycle: int) -> List[FetchedUop]:
-        """Remove up to ``max_count`` decoded micro-ops for rename/dispatch."""
-        popped: List[FetchedUop] = []
-        while self.uop_queue and len(popped) < max_count:
-            if self.uop_queue[0].ready_cycle > cycle:
-                break
-            popped.append(self.uop_queue.popleft())
-        return popped
-
-    def peek(self) -> Optional[FetchedUop]:
-        """The next micro-op dispatch would consume, without removing it."""
-        return self.uop_queue[0] if self.uop_queue else None
-
     # ------------------------------------------------------------- redirects
 
     def branch_resolved(self, seq: int, cycle: int, mispredicted: bool) -> None:
@@ -252,7 +238,7 @@ class FrontEnd:
                 self._resume_cycle = cycle + 1
                 self.stats.events.branch_mispredictions += 1
 
-    def redirect(self, new_index: int, cycle: int, extra_penalty: int = 0) -> None:
+    def redirect(self, new_index: int, cycle: int) -> None:
         """Squash the front-end and restart fetch at trace index ``new_index``.
 
         Used by pipeline flushes (runahead exit of RA and RA-buffer, which
@@ -263,5 +249,5 @@ class FrontEnd:
         self.uop_queue.clear()
         self._stalled_on_branch_seq = None
         self.fetch_index = new_index
-        self._resume_cycle = cycle + 1 + extra_penalty
+        self._resume_cycle = cycle + 1
         self._last_fetch_line = None

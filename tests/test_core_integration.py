@@ -207,12 +207,14 @@ class TestRunaheadBehaviour:
     def test_pre_emq_bounds_runahead_depth(self, stream_trace):
         small_emq = OoOCore(
             stream_trace,
-            controller=PreciseRunaheadController(use_emq=True, emq_entries=64),
+            config=CoreConfig(emq_entries=64),
+            controller=PreciseRunaheadController(use_emq=True),
         )
         stats_small = small_emq.run(max_cycles=3_000_000)
         large_emq = OoOCore(
             stream_trace,
-            controller=PreciseRunaheadController(use_emq=True, emq_entries=768),
+            config=CoreConfig(emq_entries=768),
+            controller=PreciseRunaheadController(use_emq=True),
         )
         stats_large = large_emq.run(max_cycles=3_000_000)
         assert stats_small.committed_uops == stats_large.committed_uops == len(stream_trace)
@@ -237,11 +239,13 @@ class TestRunaheadBehaviour:
             assert controller.buffer_stats.self_dependent_chains > 0
         assert core.stats.runahead_prefetches == 0
 
-    def test_runahead_useless_period_throttling_on_pointer_chase(self):
+    @pytest.mark.parametrize("variant", ["runahead", "runahead_buffer"])
+    def test_runahead_useless_period_throttling_on_pointer_chase(self, variant):
         trace = linked_list_chase(num_uops=MEDIUM)
-        stats = build_core(trace, variant="runahead").run(max_cycles=4_000_000)
+        stats = build_core(trace, variant=variant).run(max_cycles=4_000_000)
         # Pointer chasing generates no prefetches, so the Mutlu-style
-        # throttling must kick in and keep most stalls out of runahead mode.
+        # throttling RA and RA-buffer share must kick in and keep most stalls
+        # out of runahead mode.
         assert stats.runahead_invocations < stats.full_window_stalls
 
     def test_variant_builder_rejects_unknown(self):

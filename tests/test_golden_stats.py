@@ -72,7 +72,7 @@ class TestGoldenDigests:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_engine_sweep_on_reused_traces_is_bit_identical(self, goldens, workers):
         """A workload-named sweep runs all five variants of a workload on the
-        trace its process built once, RA-buffer's whole-trace oracle included,
+        trace its process built once, each reading it through its own cursor,
         and still reproduces every golden digest."""
         spec = SweepSpec(
             workloads=["mcf", "bwaves"],

@@ -142,31 +142,20 @@ class TestEMQ:
 
 
 class TestRunaheadBufferStorage:
-    def test_default_storage_matches_default_chain_length(self):
-        from repro.core.runahead_buffer import RunaheadBufferController
-
-        controller = RunaheadBufferController()
-        assert controller.max_chain_length == 32
-        assert controller.storage_bytes == 32 * 8
-
-    def test_storage_respects_explicit_chain_length(self):
-        from repro.core.runahead_buffer import RunaheadBufferController
-
-        controller = RunaheadBufferController(max_chain_length=4)
-        assert controller.max_chain_length == 4
-        # Tiny chains still get the minimum SRAM macro.
-        assert controller.storage_bytes == RunaheadBufferController.MIN_STORAGE_BYTES
-
-    def test_attach_picks_up_core_config(self):
+    @pytest.mark.parametrize("chain_length", [32, 16, 4])
+    def test_attach_picks_up_core_config(self, chain_length):
         from repro.core import build_core
         from repro.uarch.config import CoreConfig
         from repro.workloads.spec_surrogates import build_surrogate
 
+        assert CoreConfig().runahead_buffer_chain_length == 32
         trace = build_surrogate("milc", num_uops=200)
         core = build_core(
             trace,
             variant="runahead_buffer",
-            config=CoreConfig(runahead_buffer_chain_length=16),
+            config=CoreConfig(runahead_buffer_chain_length=chain_length),
         )
-        assert core.controller.max_chain_length == 16
-        assert core.controller.storage_bytes == 16 * 8
+        # Eight bytes per chain micro-op; tiny chains still get the minimum
+        # 64-byte SRAM macro.
+        expected = {32: 32 * 8, 16: 16 * 8, 4: 64}[chain_length]
+        assert core.controller.storage_bytes == expected

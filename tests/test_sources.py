@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import build_controller
 from repro.registry import WORKLOAD_REGISTRY, build_workload, build_workload_source
 from repro.simulation.simulator import SimulationRequest, run_simulation
 from repro.uarch.core import OoOCore
@@ -237,7 +238,7 @@ class TestStreamingEquivalence:
             assert streamed.energy.to_dict() == eager.energy.to_dict(), name
 
     @pytest.mark.parametrize("kind", ["generator", "file", "window"])
-    def test_oracle_variant_materializes_sources(self, kind, tmp_path):
+    def test_runahead_buffer_streams_sources(self, kind, tmp_path):
         trace = build_workload("milc", num_uops=800)
         if kind == "generator":
             source = build_workload_source("milc", num_uops=800)
@@ -256,18 +257,23 @@ class TestStreamingEquivalence:
 class TestStreamingMemory:
     """Acceptance: a GeneratorSource run ≥10x any seed workload at O(window) memory."""
 
-    def test_large_stream_runs_at_window_memory(self):
-        # Seed workloads top out at 20k micro-ops; stream 10x that.
-        num_uops = 200_000
+    @pytest.mark.parametrize("variant", ["ooo", "runahead_buffer"])
+    def test_large_stream_runs_at_window_memory(self, variant):
+        # Seed workloads top out at 20k micro-ops; the baseline streams 10x
+        # that.  RA-buffer's replay reads ahead of fetch, so its cursor also
+        # holds the trace up to the replay's reach; 50k micro-ops are ten
+        # times the bound below.
+        num_uops = {"ooo": 200_000, "runahead_buffer": 50_000}[variant]
         source = GeneratorSource(
             strided_stream.stream, {"num_uops": num_uops}, name="big_stream"
         )
-        core = OoOCore(source)  # baseline core: no oracle, pure streaming
+        core = OoOCore(source, controller=build_controller(variant))
         stats = core.run()
+        assert core.source is source
         assert stats.committed_uops >= num_uops
         cursor = core.frontend.cursor
         assert isinstance(cursor, StreamingCursor)
-        # The retained window never grew past the in-flight machine state —
-        # three orders of magnitude below the trace length.
+        # The retained window never grew past the in-flight machine state and
+        # the replay's read-ahead, far below the trace length.
         assert cursor.peak_buffered < 5_000
         assert len(cursor._buffer) < 5_000

@@ -476,9 +476,9 @@ class TestFrontEnd:
         frontend, _ = self._frontend()
         for cycle in range(0, 20):
             frontend.tick(cycle)
-        popped = frontend.pop_uops(3, 20)
+        popped = [frontend.uop_queue.popleft() for _ in range(3)]
         assert [entry.seq for entry in popped] == [0, 1, 2]
-        assert frontend.peek().seq == 3
+        assert frontend.uop_queue[0].seq == 3
 
     def test_redirect_flushes_and_restarts(self):
         frontend, _ = self._frontend()
@@ -499,6 +499,6 @@ class TestFrontEnd:
         frontend, trace = self._frontend(num_uops=30)
         for cycle in range(200):
             frontend.tick(cycle)
-            frontend.pop_uops(8, cycle)
+            frontend.uop_queue.clear()
         assert frontend.trace_exhausted
         assert frontend.next_dispatch_seq() is None
